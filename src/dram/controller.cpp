@@ -1,11 +1,27 @@
 #include "dram/controller.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/assert.hpp"
 #include "util/config_error.hpp"
 
 namespace fgqos::dram {
+namespace {
+
+void set_bank_bit(std::vector<std::uint64_t>& bits, std::uint32_t bank,
+                  bool on) {
+  const std::uint64_t mask = std::uint64_t{1} << (bank % 64);
+  bits[bank / 64] = on ? bits[bank / 64] | mask : bits[bank / 64] & ~mask;
+}
+
+/// Bank index of the lowest set bit of word \p word of a bank set.
+std::uint32_t lowest_bank(std::size_t word, std::uint64_t bits) {
+  return static_cast<std::uint32_t>(word * 64 +
+                                    static_cast<unsigned>(std::countr_zero(bits)));
+}
+
+}  // namespace
 
 void ControllerConfig::validate() const {
   timing.validate();
@@ -26,9 +42,22 @@ Controller::Controller(sim::Simulator& sim, const sim::ClockDomain& clk,
       mapper_(cfg_.timing, cfg_.mapping, cfg_.strict_addressing),
       sink_(&sink),
       banks_(cfg_.timing.banks),
-      read_q_(cfg_.read_queue_depth),
-      write_q_(cfg_.write_queue_depth) {
+      index_(cfg_.timing.banks) {
   cfg_.validate();
+  for (std::uint32_t b = 0; b < cfg_.timing.banks; ++b) {
+    index_[b].group = cfg_.timing.group_of(b);
+  }
+  for (std::size_t w = 0; w < 2; ++w) {
+    listed_[w].assign((cfg_.timing.banks + 63) / 64, 0);
+    hit_banks_[w].assign(listed_[w].size(), 0);
+  }
+  queues_[0].capacity = cfg_.read_queue_depth;
+  queues_[1].capacity = cfg_.write_queue_depth;
+  slots_.resize(cfg_.read_queue_depth + cfg_.write_queue_depth);
+  free_slots_.reserve(slots_.size());
+  for (std::size_t i = slots_.size(); i-- > 0;) {
+    free_slots_.push_back(static_cast<std::uint32_t>(i));
+  }
   next_act_group_.assign(cfg_.timing.bank_groups, 0);
   next_cas_group_.assign(cfg_.timing.bank_groups, 0);
   config_check(clk.period_ps() == cfg_.timing.period_ps(),
@@ -69,7 +98,8 @@ double Controller::bus_utilization(sim::TimePs elapsed_ps) const {
 
 bool Controller::can_accept(const axi::LineRequest& line,
                             sim::TimePs /*now*/) const {
-  return line.is_write ? !write_q_.full() : !read_q_.full();
+  const Queue& q = queues_[line.is_write ? 1 : 0];
+  return q.size < q.capacity;
 }
 
 void Controller::set_trace(telemetry::TraceWriter* writer,
@@ -87,6 +117,12 @@ void Controller::set_trace(telemetry::TraceWriter* writer,
 void Controller::accept(axi::LineRequest line, sim::TimePs now) {
   FGQOS_ASSERT(line.bytes <= cfg_.timing.burst_bytes,
                "Controller: line larger than one burst");
+  // Non-decreasing accept times keep each queue's visible entries a prefix
+  // of its arrival order, which the per-bank index relies on.
+  FGQOS_ASSERT(now >= last_accept_, "Controller: accept time went backwards");
+  last_accept_ = now;
+  Queue& q = queues_[line.is_write ? 1 : 0];
+  FGQOS_ASSERT(q.size < q.capacity, "Controller: accept on a full queue");
   if (line.txn != nullptr && line.txn->dram_enqueued == 0) {
     line.txn->dram_enqueued = now;
   }
@@ -102,19 +138,32 @@ void Controller::accept(axi::LineRequest line, sim::TimePs now) {
     attr_->begin_wait(e.wait, e.visible_at);
   }
   const sim::TimePs visible_at = e.visible_at;
-  if (line.is_write) {
-    write_q_.push(std::move(e));
-  } else {
-    read_q_.push(std::move(e));
+  const std::uint32_t idx = free_slots_.back();
+  free_slots_.pop_back();
+  Slot& s = slots_[idx];
+  s.e = std::move(e);
+  s.visible_cycle = clock().edge_index_at_or_after(visible_at);
+  s.age_origin = visible_at / clock().period_ps();
+  s.q_prev = q.tail;
+  s.q_next = kNil;
+  (q.tail == kNil ? q.head : slots_[q.tail].q_next) = idx;
+  q.tail = idx;
+  if (q.first_unindexed == kNil) {
+    q.first_unindexed = idx;
   }
+  ++q.size;
+  // Later arrivals never become visible earlier, so this is exact.
+  next_decision_ = std::min(next_decision_, s.visible_cycle);
   wake_at(visible_at);
 }
 
 void Controller::do_refresh(Cycle c) {
   const Cycle ready = c + cfg_.timing.tRFC;
-  for (auto& b : banks_) {
-    b.refresh_block(ready);
+  for (std::uint32_t b = 0; b < banks_.size(); ++b) {
+    banks_[b].refresh_block(ready);
+    recount_hits(b);
   }
+  next_decision_ = 0;
   if (attr_ != nullptr) {
     refresh_busy_until_ = ready;
   }
@@ -139,55 +188,25 @@ void Controller::set_refresh_interval_divisor(std::uint32_t divisor) {
   next_refresh_ = std::min(next_refresh_, c + interval);
 }
 
-bool Controller::act_allowed(Cycle c, std::uint32_t group) const {
-  if (c < next_act_any_ || c < next_act_group_[group]) {
-    return false;
-  }
-  if (act_history_.size() >= 4 &&
-      c < act_history_.front() + cfg_.timing.tFAW) {
-    return false;
-  }
-  return true;
-}
-
 void Controller::note_act(Cycle c, std::uint32_t group) {
   next_act_any_ = c + cfg_.timing.tRRD_S;
   next_act_group_[group] =
       std::max(next_act_group_[group], c + cfg_.timing.tRRD_L);
-  act_history_.push_back(c);
-  while (act_history_.size() > 4) {
-    act_history_.pop_front();
-  }
+  // A ring of the last four ACTs: once four have issued, the next slot to
+  // overwrite holds the oldest of them.
+  act_history_[act_count_ % act_history_.size()] = c;
+  ++act_count_;
 }
 
 Controller::Cycle Controller::dir_cas_ready(bool write) const {
   return write ? next_write_cas_ : next_read_cas_;
 }
 
-bool Controller::cas_issuable(const QueueEntry& e, Cycle c,
-                              sim::TimePs now) const {
-  if (e.visible_at > now) {
-    return false;
-  }
-  const Bank& b = banks_[e.where.bank];
-  if (!b.row_open() || !b.row_hit(e.where.row)) {
-    return false;
-  }
-  const std::uint32_t group = cfg_.timing.group_of(e.where.bank);
-  if (c < b.cas_ready() || c < dir_cas_ready(e.line.is_write) ||
-      c < next_cas_any_ || c < next_cas_group_[group]) {
-    return false;
-  }
-  const Cycle data_start =
-      c + (e.line.is_write ? cfg_.timing.tCWL : cfg_.timing.tCL);
-  return data_start >= data_bus_free_;
-}
-
 void Controller::issue_cas(QueueEntry entry, Cycle c, bool auto_precharge) {
   const TimingConfig& t = cfg_.timing;
   const bool is_write = entry.line.is_write;
   Bank& b = banks_[entry.where.bank];
-  const std::uint32_t group = t.group_of(entry.where.bank);
+  const std::uint32_t group = index_[entry.where.bank].group;
   const Cycle data_start = c + (is_write ? t.tCWL : t.tCL);
   const Cycle data_end = data_start + t.burst_cycles();
   data_bus_free_ = data_end;
@@ -213,6 +232,7 @@ void Controller::issue_cas(QueueEntry entry, Cycle c, bool auto_precharge) {
     // CAS-with-AP: the row closes by itself once tRTP/tWR allows; model
     // as a precharge effective at the bank's earliest legal PRE cycle.
     b.precharge(b.pre_ready(), t.tRP);
+    recount_hits(entry.where.bank);
   }
   stats_.payload_bytes.add(entry.line.bytes);
   stats_.bus_bytes.add(t.burst_bytes);
@@ -261,9 +281,9 @@ void Controller::issue_cas(QueueEntry entry, Cycle c, bool auto_precharge) {
                      done_ps - data_start_ps);
     const sim::TimePs now = simulator().now();
     trace_->counter(track_, "read_q", now,
-                    static_cast<double>(read_q_.size()));
+                    static_cast<double>(queues_[0].size));
     trace_->counter(track_, "write_q", now,
-                    static_cast<double>(write_q_.size()));
+                    static_cast<double>(queues_[1].size));
   }
   axi::ResponseSink* sink = sink_;
   const axi::LineRequest line = entry.line;
@@ -272,72 +292,88 @@ void Controller::issue_cas(QueueEntry entry, Cycle c, bool auto_precharge) {
       prof_tag_done_);
 }
 
-void Controller::scan_order(std::vector<const QueueEntry*>& out,
-                            bool include_reads, bool include_writes,
-                            sim::TimePs now) const {
-  out.clear();
-  if (include_reads) {
-    for (const auto& e : read_q_.entries()) {
-      if (e.visible_at <= now) {
-        out.push_back(&e);
+void Controller::index_visible(sim::TimePs now) {
+  for (std::size_t w = 0; w < queues_.size(); ++w) {
+    Queue& q = queues_[w];
+    while (q.first_unindexed != kNil &&
+           slots_[q.first_unindexed].e.visible_at <= now) {
+      const std::uint32_t idx = q.first_unindexed;
+      Slot& s = slots_[idx];
+      BankList& l = index_[s.e.where.bank].dir[w];
+      s.b_prev = l.tail;
+      s.b_next = kNil;
+      (l.tail == kNil ? l.head : slots_[l.tail].b_next) = idx;
+      l.tail = idx;
+      set_bank_bit(listed_[w], s.e.where.bank, true);
+      if (banks_[s.e.where.bank].row_hit(s.e.where.row)) {
+        ++l.hits;
+        if (l.oldest_hit == kNil) {
+          l.oldest_hit = idx;
+          set_bank_bit(hit_banks_[w], s.e.where.bank, true);
+        }
       }
+      q.first_unindexed = s.q_next;
     }
   }
-  if (include_writes) {
-    for (const auto& e : write_q_.entries()) {
-      if (e.visible_at <= now) {
-        out.push_back(&e);
-      }
-    }
-  }
-  std::sort(out.begin(), out.end(),
-            [](const QueueEntry* a, const QueueEntry* b) {
-              return a->seq < b->seq;
-            });
 }
 
-bool Controller::try_prep(const std::vector<const QueueEntry*>& order,
-                          const std::vector<bool>& hit_pending,
-                          int starving_bank, Cycle c) {
-  // One command bus: issue at most one PRE or ACT, scanning oldest-first
-  // and touching each bank once (bank-level parallelism warms several banks
-  // across consecutive cycles).
-  std::uint64_t touched = 0;  // bitmask over banks (<= 64 banks supported)
-  FGQOS_ASSERT(banks_.size() <= 64, "try_prep: more than 64 banks");
-  for (const QueueEntry* e : order) {
-    const std::uint64_t bit = std::uint64_t{1} << e->where.bank;
-    if (touched & bit) {
-      continue;
-    }
-    touched |= bit;
-    Bank& b = banks_[e->where.bank];
-    const std::uint32_t group = cfg_.timing.group_of(e->where.bank);
-    if (!b.row_open()) {
-      if (c >= b.act_ready() && act_allowed(c, group)) {
-        b.activate(e->where.row, c, cfg_.timing.tRCD, cfg_.timing.tRAS,
-                   cfg_.timing.tRC);
-        note_act(c, group);
-        if (attr_ != nullptr) {
-          bank_owner_[e->where.bank] = e->line.txn->master;
-        }
-        stats_.activations.add();
-        return true;
-      }
-    } else if (!b.row_hit(e->where.row)) {
-      // First-ready FR-FCFS: keep the open row alive while visible row
-      // hits remain — unless this bank's oldest request is starving.
-      const bool protect_hits =
-          hit_pending[e->where.bank] &&
-          static_cast<int>(e->where.bank) != starving_bank;
-      if (!protect_hits && c >= b.pre_ready()) {
-        b.precharge(c, cfg_.timing.tRP);
-        stats_.conflict_precharges.add();
-        return true;
+QueueEntry Controller::take(std::uint32_t idx) {
+  Slot& s = slots_[idx];
+  const std::size_t w = s.e.line.is_write ? 1 : 0;
+  Queue& q = queues_[w];
+  (s.q_prev == kNil ? q.head : slots_[s.q_prev].q_next) = s.q_next;
+  (s.q_next == kNil ? q.tail : slots_[s.q_next].q_prev) = s.q_prev;
+  --q.size;
+  // Only issued (hence indexed, row-hitting) entries are taken.
+  const Bank& b = banks_[s.e.where.bank];
+  BankList& l = index_[s.e.where.bank].dir[w];
+  (s.b_prev == kNil ? l.head : slots_[s.b_prev].b_next) = s.b_next;
+  (s.b_next == kNil ? l.tail : slots_[s.b_next].b_prev) = s.b_prev;
+  set_bank_bit(listed_[w], s.e.where.bank, l.head != kNil);
+  --l.hits;
+  set_bank_bit(hit_banks_[w], s.e.where.bank, l.hits > 0);
+  if (l.oldest_hit == idx) {
+    l.oldest_hit = kNil;
+    for (std::uint32_t i = s.b_next; l.hits > 0 && i != kNil;
+         i = slots_[i].b_next) {
+      if (b.row_hit(slots_[i].e.where.row)) {
+        l.oldest_hit = i;
+        break;
       }
     }
-    // Row open and matching: waiting on CAS timing; nothing to prep.
   }
-  return false;
+  free_slots_.push_back(idx);
+  return std::move(s.e);
+}
+
+void Controller::recount_hits(std::uint32_t bank) {
+  const Bank& b = banks_[bank];
+  for (std::size_t w = 0; w < 2; ++w) {
+    BankList& l = index_[bank].dir[w];
+    l.hits = 0;
+    l.oldest_hit = kNil;
+    if (b.row_open()) {
+      for (std::uint32_t i = l.head; i != kNil; i = slots_[i].b_next) {
+        if (b.row_hit(slots_[i].e.where.row)) {
+          ++l.hits;
+          if (l.oldest_hit == kNil) {
+            l.oldest_hit = i;
+          }
+        }
+      }
+    }
+    set_bank_bit(hit_banks_[w], bank, l.hits > 0);
+  }
+}
+
+Controller::Cycle Controller::next_visible_cycle() const {
+  Cycle next = kNever;
+  for (const Queue& q : queues_) {
+    if (q.first_unindexed != kNil) {
+      next = std::min(next, slots_[q.first_unindexed].visible_cycle);
+    }
+  }
+  return next;
 }
 
 bool Controller::tick(sim::Cycles cycle) {
@@ -362,131 +398,215 @@ bool Controller::schedule(Cycle c, sim::TimePs now, bool& serve_reads,
     return true;  // refresh occupies the command bus this cycle
   }
 
+  const Queue& rq = queues_[0];
+  const Queue& wq = queues_[1];
   // Write-drain hysteresis.
-  if (write_q_.size() >= cfg_.write_high_watermark) {
+  if (wq.size >= cfg_.write_high_watermark) {
     draining_writes_ = true;
-  } else if (write_q_.size() <= cfg_.write_low_watermark) {
+  } else if (wq.size <= cfg_.write_low_watermark) {
     draining_writes_ = false;
   }
-  serve_writes = draining_writes_ || read_q_.empty();
-  serve_reads = !draining_writes_ || write_q_.empty();
+  serve_writes = draining_writes_ || rq.size == 0;
+  serve_reads = !draining_writes_ || wq.size == 0;
   // Aging in both directions bounds worst-case service:
   //  * a sustained write flood can hold the drain above the low watermark
   //    forever — aged reads re-enter the scan;
   //  * a sustained read stream can keep the write queue just below the
   //    high watermark forever (and deadlock masters waiting on write
   //    completions) — aged writes re-enter the scan.
-  const auto front_aged = [&](const RequestQueue& q) {
-    if (q.empty()) {
+  const auto front_aged = [&](const Queue& q) {
+    if (q.head == kNil) {
       return false;
     }
-    const QueueEntry& front = q.entries().front();
-    return front.visible_at <= now &&
-           c >= front.visible_at / clock().period_ps() +
-                    cfg_.starvation_cycles;
+    const Slot& front = slots_[q.head];
+    return front.e.visible_at <= now &&
+           c >= front.age_origin + cfg_.starvation_cycles;
   };
-  serve_reads = serve_reads || front_aged(read_q_);
-  serve_writes = serve_writes || front_aged(write_q_);
+  serve_reads = serve_reads || front_aged(rq);
+  serve_writes = serve_writes || front_aged(wq);
 
-  static thread_local std::vector<const QueueEntry*> order;
-  scan_order(order, serve_reads, serve_writes, now);
-
-  if (!order.empty()) {
-    // Starvation guard: when the oldest visible request has waited too
-    // long, suspend row-hit bypassing on its bank (other banks keep full
-    // FR-FCFS parallelism, so throughput is preserved while the oldest
-    // request's service is bounded).
-    const QueueEntry* oldest = order.front();
-    const Cycle oldest_age =
-        c - std::min<Cycle>(c, oldest->visible_at / clock().period_ps());
-    const bool starving = oldest_age > cfg_.starvation_cycles;
-    const int starving_bank =
-        starving ? static_cast<int>(oldest->where.bank) : -1;
-
-    // Per-bank flag: does any visible entry (either queue, regardless of
-    // drain mode) hit the currently open row? Protects warm rows from
-    // being precharged moments before their hits would issue.
-    static thread_local std::vector<bool> hit_pending;
-    hit_pending.assign(banks_.size(), false);
-    auto mark_hits = [&](const RequestQueue& q) {
-      for (const auto& e : q.entries()) {
-        if (e.visible_at > now) {
-          continue;
-        }
-        const Bank& b = banks_[e.where.bank];
-        if (b.row_open() && b.row_hit(e.where.row)) {
-          hit_pending[e.where.bank] = true;
-        }
-      }
-    };
-    mark_hits(read_q_);
-    mark_hits(write_q_);
-
-    // 1. First-ready CAS: oldest row-hit whose timings allow issue now.
-    //    On the starving bank only the starving entry itself may issue;
-    //    while starving, CAS in the opposite bus direction is also held
-    //    back — otherwise a continuous same-direction stream pushes the
-    //    turnaround window (next_read/write_cas) forward forever and the
-    //    starving request never becomes issuable (write livelock).
-    const QueueEntry* best = nullptr;
-    for (const QueueEntry* e : order) {
-      if (starving && e->line.is_write != oldest->line.is_write) {
-        continue;
-      }
-      if (static_cast<int>(e->where.bank) == starving_bank && e != oldest) {
-        continue;
-      }
-      if (cas_issuable(*e, c, now)) {
-        best = e;
-        break;  // order is oldest-first
-      }
+  // Next-decision gate: with the served directions unchanged, nothing can
+  // issue before next_decision_ (every legality test is `c >= X`).
+  if (c >= next_decision_ || serve_reads != gate_serve_reads_ ||
+      serve_writes != gate_serve_writes_) {
+    gate_serve_reads_ = serve_reads;
+    gate_serve_writes_ = serve_writes;
+    if (decide(c, now, serve_reads, serve_writes)) {
+      return true;
     }
-    if (best != nullptr) {
-      RequestQueue& q = best->line.is_write ? write_q_ : read_q_;
-      // Find the entry's index in its queue to remove it.
-      const auto& entries = q.entries();
-      // Closed-page: auto-precharge unless another queued hit wants the
-      // row. "best" itself is one of the pending hits, so the row stays
-      // open only when at least one other hit exists.
-      bool other_hit = false;
-      if (cfg_.page_policy == PagePolicy::kClosed) {
-        const Bank& b = banks_[best->where.bank];
-        for (const QueueEntry* e : order) {
-          if (e != best && e->where.bank == best->where.bank &&
-              b.row_hit(e->where.row)) {
-            other_hit = true;
-            break;
-          }
-        }
-      }
-      const bool auto_pre =
-          cfg_.page_policy == PagePolicy::kClosed && !other_hit;
-      for (std::size_t i = 0; i < entries.size(); ++i) {
-        if (entries[i].seq == best->seq) {
-          issue_cas(q.remove_at(i), c, auto_pre);
-          return true;
-        }
-      }
-      FGQOS_ASSERT(false, "controller: CAS candidate vanished");
-    }
-
-    // 2. Otherwise issue one prep command (PRE or ACT), oldest entries
-    //    first, one bank each.
-    try_prep(order, hit_pending, starving_bank, c);
   }
 
   // Sleep only when both queues are completely empty (invisible entries
   // still need future ticks; wake_at in accept() covers new arrivals, and
   // we remain awake while anything is queued).
-  return !(read_q_.empty() && write_q_.empty());
+  return rq.size != 0 || wq.size != 0;
+}
+
+bool Controller::decide(Cycle c, sim::TimePs now, bool serve_reads,
+                        bool serve_writes) {
+  const TimingConfig& t = cfg_.timing;
+  index_visible(now);
+  const std::array<bool, 2> served{serve_reads, serve_writes};
+  Cycle next = next_visible_cycle();
+
+  const auto seq_less = [&](std::uint32_t a, std::uint32_t b) {
+    return b == kNil || slots_[a].e.seq < slots_[b].e.seq;
+  };
+
+  // The oldest served visible entry is a queue head: visible entries are a
+  // prefix of each queue.
+  std::uint32_t oldest = kNil;
+  for (std::size_t w = 0; w < 2; ++w) {
+    const std::uint32_t h = queues_[w].head;
+    if (served[w] && h != kNil && slots_[h].e.visible_at <= now &&
+        seq_less(h, oldest)) {
+      oldest = h;
+    }
+  }
+  if (oldest == kNil) {
+    next_decision_ = next;
+    return false;
+  }
+
+  // Starvation guard: when the oldest visible request has waited too long,
+  // suspend row-hit bypassing on its bank (other banks keep full FR-FCFS
+  // parallelism, so throughput is preserved while the oldest request's
+  // service is bounded).
+  const Slot& os = slots_[oldest];
+  const Cycle oldest_age = c - std::min<Cycle>(c, os.age_origin);
+  const bool starving = oldest_age > cfg_.starvation_cycles;
+  const std::uint32_t starving_bank = starving ? os.e.where.bank : kNil;
+  if (!starving) {
+    next = std::min(next, os.age_origin + cfg_.starvation_cycles + 1);
+  }
+
+  // 1. First-ready CAS: the oldest row hit whose timings allow issue now.
+  //    A row hit's CAS legality depends only on (bank, direction), so the
+  //    candidates are each list's oldest hit. On the starving bank only the
+  //    starving entry itself may issue; while starving, CAS in the opposite
+  //    bus direction is also held back — otherwise a continuous
+  //    same-direction stream pushes the turnaround window
+  //    (next_read/write_cas) forward forever and the starving request never
+  //    becomes issuable (write livelock).
+  std::uint32_t best = kNil;
+  for (std::size_t w = 0; w < 2; ++w) {
+    if (!served[w] || (starving && w != (os.e.line.is_write ? 1u : 0u))) {
+      continue;
+    }
+    const Cycle latency = w != 0 ? t.tCWL : t.tCL;
+    const Cycle dir_ready = std::max(
+        {dir_cas_ready(w != 0), next_cas_any_,
+         data_bus_free_ > latency ? data_bus_free_ - latency : 0});
+    for (std::size_t word = 0; word < hit_banks_[w].size(); ++word) {
+      for (std::uint64_t bits = hit_banks_[w][word]; bits != 0;
+           bits &= bits - 1) {
+        const std::uint32_t bank = lowest_bank(word, bits);
+        const BankList& l = index_[bank].dir[w];
+        if (bank == starving_bank && l.oldest_hit != oldest) {
+          continue;
+        }
+        const Cycle ready =
+            std::max({dir_ready, banks_[bank].cas_ready(),
+                      next_cas_group_[index_[bank].group]});
+        if (ready > c) {
+          next = std::min(next, ready);
+        } else if (seq_less(l.oldest_hit, best)) {
+          best = l.oldest_hit;
+        }
+      }
+    }
+  }
+  if (best != kNil) {
+    // Closed-page: auto-precharge unless another served visible hit wants
+    // the row ("best" itself is one of them).
+    const BankIndex& bi = index_[slots_[best].e.where.bank];
+    const std::uint32_t served_hits = (serve_reads ? bi.dir[0].hits : 0) +
+                                      (serve_writes ? bi.dir[1].hits : 0);
+    const bool auto_pre =
+        cfg_.page_policy == PagePolicy::kClosed && served_hits <= 1;
+    issue_cas(take(best), c, auto_pre);
+    next_decision_ = 0;
+    return true;
+  }
+
+  // 2. Otherwise issue one prep command (PRE or ACT) for the oldest bank
+  //    whose command is legal now, judged by the bank's oldest served
+  //    visible entry.
+  const Cycle faw_ready =
+      act_count_ >= act_history_.size()
+          ? act_history_[act_count_ % act_history_.size()] + t.tFAW
+          : 0;
+  const Cycle act_ready_any = std::max(next_act_any_, faw_ready);
+  std::uint32_t prep = kNil;
+  for (std::size_t word = 0; word < listed_[0].size(); ++word) {
+    const std::uint64_t any = (serve_reads ? listed_[0][word] : 0) |
+                              (serve_writes ? listed_[1][word] : 0);
+    for (std::uint64_t bits = any; bits != 0; bits &= bits - 1) {
+      const std::uint32_t bank = lowest_bank(word, bits);
+      const BankIndex& bi = index_[bank];
+      std::uint32_t e = kNil;
+      for (std::size_t w = 0; w < 2; ++w) {
+        const std::uint32_t h = bi.dir[w].head;
+        if (served[w] && h != kNil && seq_less(h, e)) {
+          e = h;
+        }
+      }
+      const Bank& b = banks_[bank];
+      Cycle ready = 0;
+      if (!b.row_open()) {
+        ready = std::max({b.act_ready(), act_ready_any,
+                          next_act_group_[bi.group]});
+      } else if (!b.row_hit(slots_[e].e.where.row)) {
+        // First-ready FR-FCFS: keep the open row alive while visible row
+        // hits (either queue, either drain mode) remain — unless this
+        // bank's oldest request is starving.
+        if (bi.dir[0].hits + bi.dir[1].hits > 0 && bank != starving_bank) {
+          continue;
+        }
+        ready = b.pre_ready();
+      } else {
+        continue;  // row open and matching: waiting on CAS timing
+      }
+      if (ready > c) {
+        next = std::min(next, ready);
+      } else if (seq_less(e, prep)) {
+        prep = e;
+      }
+    }
+  }
+  if (prep == kNil) {
+    next_decision_ = next;
+    return false;
+  }
+  const QueueEntry& pe = slots_[prep].e;
+  const std::uint32_t bank = pe.where.bank;
+  Bank& b = banks_[bank];
+  if (!b.row_open()) {
+    b.activate(pe.where.row, c, t.tRCD, t.tRAS, t.tRC);
+    note_act(c, index_[bank].group);
+    if (attr_ != nullptr) {
+      bank_owner_[bank] = pe.line.txn->master;
+    }
+    stats_.activations.add();
+  } else {
+    b.precharge(c, t.tRP);
+    stats_.conflict_precharges.add();
+  }
+  recount_hits(bank);
+  next_decision_ = 0;
+  return false;
 }
 
 void Controller::attribution_pass(Cycle c, sim::TimePs now, bool serve_reads,
                                   bool serve_writes) {
   const bool refresh_busy = c < refresh_busy_until_;
-  auto pass_queue = [&](RequestQueue& q, bool served, bool is_write) {
-    for (QueueEntry& e : q.mutable_entries()) {
-      if (e.visible_at > now || !e.wait.open) {
+  auto pass_queue = [&](const Queue& q, bool served, bool is_write) {
+    for (std::uint32_t i = q.head; i != kNil; i = slots_[i].q_next) {
+      QueueEntry& e = slots_[i].e;
+      if (e.visible_at > now) {
+        break;  // the rest of the queue is not visible yet either
+      }
+      if (!e.wait.open) {
         continue;
       }
       const axi::MasterId victim = e.line.txn->master;
@@ -524,8 +644,8 @@ void Controller::attribution_pass(Cycle c, sim::TimePs now, bool serve_reads,
                     e.where.bank);
     }
   };
-  pass_queue(read_q_, serve_reads, false);
-  pass_queue(write_q_, serve_writes, true);
+  pass_queue(queues_[0], serve_reads, false);
+  pass_queue(queues_[1], serve_writes, true);
 }
 
 void Controller::set_attribution(telemetry::AttributionEngine* engine) {

@@ -9,15 +9,14 @@
 /// high/low watermarks.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "axi/interconnect.hpp"
 #include "axi/transaction.hpp"
 #include "dram/address_mapper.hpp"
 #include "dram/bank.hpp"
-#include "dram/command_queue.hpp"
 #include "dram/timing.hpp"
 #include "sim/simulator.hpp"
 #include "sim/stats.hpp"
@@ -30,9 +29,20 @@ namespace fgqos::dram {
 enum class PagePolicy : std::uint8_t {
   /// Leave the row open (bet on locality; conflicts pay PRE+ACT).
   kOpen,
-  /// Auto-precharge after each CAS unless another hit to the same row is
-  /// already queued (bet on randomness; every access pays ACT).
+  /// Auto-precharge after each CAS unless another visible hit to the same
+  /// row waits in a direction being served (bet on randomness; every
+  /// access pays ACT).
   kClosed,
+};
+
+/// One pending line request plus its decoded coordinates.
+struct QueueEntry {
+  axi::LineRequest line;
+  Decoded where;
+  sim::TimePs visible_at = 0;  ///< front-end pipeline delay
+  std::uint64_t seq = 0;       ///< arrival order (FCFS tie-break)
+  /// Queueing-delay blame bookkeeping (open only when attribution is on).
+  telemetry::WaitState wait;
 };
 
 /// Controller-level knobs (timing lives in TimingConfig).
@@ -103,9 +113,11 @@ class Controller final : public sim::Clocked, public axi::SlaveIf {
   [[nodiscard]] double bus_utilization(sim::TimePs elapsed_ps) const;
 
   /// Current queue occupancies (diagnostics).
-  [[nodiscard]] std::size_t read_queue_size() const { return read_q_.size(); }
+  [[nodiscard]] std::size_t read_queue_size() const {
+    return queues_[0].size;
+  }
   [[nodiscard]] std::size_t write_queue_size() const {
-    return write_q_.size();
+    return queues_[1].size;
   }
   [[nodiscard]] bool draining_writes() const { return draining_writes_; }
 
@@ -140,34 +152,70 @@ class Controller final : public sim::Clocked, public axi::SlaveIf {
 
  private:
   using Cycle = Bank::Cycle;
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+  static constexpr Cycle kNever = ~Cycle{0};
+
+  /// One queue slot: the entry plus its links in two intrusive lists, its
+  /// queue's arrival order and, once visible, its (bank, direction) list.
+  struct Slot {
+    QueueEntry e;
+    Cycle visible_cycle = 0;  ///< first controller cycle at which e is visible
+    Cycle age_origin = 0;     ///< e.visible_at / period: starvation age origin
+    std::uint32_t q_prev = kNil;
+    std::uint32_t q_next = kNil;
+    std::uint32_t b_prev = kNil;
+    std::uint32_t b_next = kNil;
+  };
+
+  /// One direction's queue in arrival order. accept() times never decrease,
+  /// so the visible entries are always a prefix; \c first_unindexed starts
+  /// the suffix not yet linked into the per-bank lists.
+  struct Queue {
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;
+    std::uint32_t first_unindexed = kNil;
+    std::size_t size = 0;
+    std::size_t capacity = 0;
+  };
+
+  /// Visible entries of one (bank, direction) in arrival order, with the
+  /// number that hit the bank's open row and the oldest of those.
+  struct BankList {
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;
+    std::uint32_t hits = 0;
+    std::uint32_t oldest_hit = kNil;
+  };
+
+  struct BankIndex {
+    std::array<BankList, 2> dir;  ///< [is_write]
+    std::uint32_t group = 0;      ///< cached TimingConfig::group_of
+  };
 
   void do_refresh(Cycle c);
-  [[nodiscard]] bool act_allowed(Cycle c, std::uint32_t group) const;
   void note_act(Cycle c, std::uint32_t group);
   /// Earliest CAS issue cycle for direction \p write given bus state.
   [[nodiscard]] Cycle dir_cas_ready(bool write) const;
-  /// True when a CAS for \p e could be issued at cycle \p c.
-  [[nodiscard]] bool cas_issuable(const QueueEntry& e, Cycle c,
-                                  sim::TimePs now) const;
   /// Issues the CAS: updates bank/bus state, schedules completion.
   /// \param auto_precharge close the row right after (closed-page policy).
   void issue_cas(QueueEntry entry, Cycle c, bool auto_precharge);
-  /// Tries to issue PRE/ACT for the oldest entries (one command max).
-  /// \param hit_pending per-bank flag: a visible entry targets the open row
-  /// \param starving_bank bank whose oldest entry is starving (-1 = none);
-  ///        row-hit protection is suspended for that bank.
-  bool try_prep(const std::vector<const QueueEntry*>& order,
-                const std::vector<bool>& hit_pending, int starving_bank,
-                Cycle c);
-  /// Collects pointers to visible entries of the queues to scan, oldest
-  /// first.
-  void scan_order(std::vector<const QueueEntry*>& out, bool include_reads,
-                  bool include_writes, sim::TimePs now) const;
-  /// One scheduling cycle (refresh / CAS / prep); the original tick body.
-  /// Reports the scan-direction decision through \p serve_reads /
+  /// Links every entry visible at \p now into its (bank, direction) list.
+  void index_visible(sim::TimePs now);
+  /// Unlinks slot \p idx from its queue and bank list and frees it.
+  QueueEntry take(std::uint32_t idx);
+  /// Recounts a bank's open-row hits (after ACT, PRE or refresh).
+  void recount_hits(std::uint32_t bank);
+  /// Visibility cycle of the oldest entry not yet indexed (kNever if none).
+  [[nodiscard]] Cycle next_visible_cycle() const;
+  /// One scheduling cycle: refresh, drain/aging flags, then decide()
+  /// unless the next-decision gate is closed. Reports the scan-direction decision through \p serve_reads /
   /// \p serve_writes so the attribution pass can classify drain exclusion.
   bool schedule(Cycle c, sim::TimePs now, bool& serve_reads,
                 bool& serve_writes);
+  /// Issues at most one command (CAS first, else PRE/ACT) chosen from the
+  /// per-bank lists. When nothing is legal, records in next_decision_ the
+  /// first cycle at which that can change. Returns true when a CAS issued.
+  bool decide(Cycle c, sim::TimePs now, bool serve_reads, bool serve_writes);
   /// Per-cycle blame pass over every visible waiting queue entry.
   void attribution_pass(Cycle c, sim::TimePs now, bool serve_reads,
                         bool serve_writes);
@@ -177,15 +225,28 @@ class Controller final : public sim::Clocked, public axi::SlaveIf {
   axi::ResponseSink* sink_;
   std::uint32_t prof_tag_done_ = 0;  ///< host-profiler tag, dram.line_done
   std::vector<Bank> banks_;
-  RequestQueue read_q_;
-  RequestQueue write_q_;
+  std::vector<BankIndex> index_;  ///< per bank
+  /// Bank sets, one bit per bank, [is_write]: selection visits only banks
+  /// whose list is nonempty (prep) or holds open-row hits (CAS).
+  std::array<std::vector<std::uint64_t>, 2> listed_;
+  std::array<std::vector<std::uint64_t>, 2> hit_banks_;
+  std::vector<Slot> slots_;       ///< storage for both queues
+  std::vector<std::uint32_t> free_slots_;
+  std::array<Queue, 2> queues_;   ///< [is_write]
   std::uint64_t arrival_seq_ = 0;
+  sim::TimePs last_accept_ = 0;
   bool draining_writes_ = false;
+  /// Next-decision gate: until cycle next_decision_, with the served
+  /// directions unchanged, no command can become legal.
+  Cycle next_decision_ = 0;
+  bool gate_serve_reads_ = true;
+  bool gate_serve_writes_ = true;
 
   // Global channel state (absolute controller cycles).
   Cycle next_act_any_ = 0;                 ///< tRRD_S
   std::vector<Cycle> next_act_group_;      ///< tRRD_L, per bank group
-  std::deque<Cycle> act_history_;          ///< tFAW window
+  std::array<Cycle, 4> act_history_{};     ///< tFAW window (ring)
+  std::uint64_t act_count_ = 0;            ///< ACTs issued
   Cycle next_cas_any_ = 0;                 ///< tCCD_S
   std::vector<Cycle> next_cas_group_;      ///< tCCD_L, per bank group
   Cycle next_read_cas_ = 0;

@@ -333,7 +333,9 @@ std::string BankBudgetSpec::to_json() const {
         out += ',';
       }
       first = false;
-      out += "\"" + std::to_string(bank) + "\":";
+      out.append("\"");
+      out.append(std::to_string(bank));
+      out.append("\":");
       append_number(out, mbps);
     }
     out += "}}";
