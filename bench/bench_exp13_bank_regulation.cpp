@@ -157,12 +157,12 @@ Row run_point(BankScheme scheme, double load_qps) {
     }
   } else if (scheme == BankScheme::kPerBank) {
     for (std::size_t p = 0; p < kBulkCount; ++p) {
-      qos::BankRegulatorConfig bc;
+      qos::RegulatorConfig bc;
       bc.window_ps = kWindowPs;
-      bc.budget_bytes.assign(
+      bc.bank_budget_bytes.assign(
           cfg.dram.timing.banks,
           qos::budget_for_rate(kPrivateBankMbps * 1e6, kWindowPs));
-      bc.budget_bytes[0] =
+      bc.bank_budget_bytes[0] =
           qos::budget_for_rate(kTenantBankMbps * 1e6, kWindowPs);
       chip.add_bank_regulator(1 + p, std::move(bc));
     }

@@ -3,17 +3,20 @@
 ///        to be?
 ///
 /// Ablates the single design choice the paper's title claims matters:
-/// the regulator's observation latency. The same token-bucket policy is
-/// enforced by a LaggedRegulator whose view of consumed bytes lags
-/// reality by 0 (tightly-coupled) up to 100 us (a monitor polled across
-/// the fabric / config bus). One saturating DMA is regulated to
-/// 400 MB/s in 100 us windows; a latency-critical CPU task runs
-/// alongside. Reported: per-window overshoot (bytes over budget), the
-/// effective rate, and the critical task's p99.
+/// the regulator's observation latency. The same qos::Regulator enforces
+/// the token-bucket policy with RegulatorConfig::observation_latency_ps
+/// set from 0 (tightly-coupled: each grant is debited in its own cycle)
+/// up to 100 us (a monitor polled across the fabric / config bus: the
+/// debit lands that much later, and the gate admits on stale credit
+/// meanwhile). Three saturating DMAs are each regulated to 400 MB/s in
+/// 100 us windows; a latency-critical CPU task runs alongside. Reported:
+/// the largest per-window overshoot (bytes granted over budget,
+/// RegulatorStats::max_overshoot_bytes), the effective rate, and the
+/// critical task's p99.
 #include <cstdio>
 
 #include "common.hpp"
-#include "qos/polling_monitor.hpp"
+#include "qos/regulator.hpp"
 
 using namespace fgqos;
 using namespace fgqos::bench;
@@ -52,21 +55,20 @@ int main() {
     p.aggressor_count = 3;
     p.critical_iterations = 8;
     Scenario s = build_scenario(p);
-    std::vector<std::unique_ptr<qos::LaggedRegulator>> regs;
+    std::vector<std::unique_ptr<qos::Regulator>> regs;
     for (std::size_t i = 0; i < 3; ++i) {
-      qos::LaggedRegulatorConfig lc;
-      lc.name = "lagged" + std::to_string(i);
-      lc.budget_bytes = budget_bytes;
-      lc.window_ps = window;
-      lc.observation_latency_ps = lag;
-      regs.push_back(
-          std::make_unique<qos::LaggedRegulator>(s.chip->sim(), lc));
+      qos::RegulatorConfig rc;
+      rc.name = "lagged" + std::to_string(i);
+      rc.budget_bytes = budget_bytes;
+      rc.window_ps = window;
+      rc.observation_latency_ps = lag;
+      regs.push_back(std::make_unique<qos::Regulator>(s.chip->sim(), rc));
       s.chip->accel_port(i).add_gate(*regs.back());
     }
     const double mean = run_critical(s, 600 * sim::kPsPerMs);
     std::uint64_t overshoot = 0;
     for (const auto& r : regs) {
-      overshoot = std::max(overshoot, r->max_overshoot_bytes());
+      overshoot = std::max(overshoot, r->stats().max_overshoot_bytes);
     }
     const double measured = s.aggressor_bps() / 3.0;
     table.add_row(

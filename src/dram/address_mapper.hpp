@@ -56,6 +56,7 @@ class AddressMapper {
 
   [[nodiscard]] Decoded decode(axi::Addr addr) const;
   [[nodiscard]] MappingPolicy policy() const { return policy_; }
+  [[nodiscard]] std::uint32_t banks() const { return banks_; }
 
   /// Decodes that aliased a row-region already claimed by a different
   /// capacity window (see class comment).  0 for well-sized scenarios.

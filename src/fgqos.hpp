@@ -12,7 +12,6 @@
 #include "qos/cmri.hpp"                  // IWYU pragma: export
 #include "qos/ddrc_throttle.hpp"         // IWYU pragma: export
 #include "qos/latency_monitor.hpp"       // IWYU pragma: export
-#include "qos/polling_monitor.hpp"       // IWYU pragma: export
 #include "qos/prem_arbiter.hpp"          // IWYU pragma: export
 #include "qos/qos_manager.hpp"           // IWYU pragma: export
 #include "qos/regfile.hpp"               // IWYU pragma: export

@@ -39,7 +39,6 @@ bool DdrcThrottle::can_accept(const axi::LineRequest& line,
   if (throttled) {
     const TokenBucket& bucket = line.is_write ? write_bucket_ : read_bucket_;
     if (!bucket.can_spend()) {
-      ++rejections_;
       return false;
     }
   }

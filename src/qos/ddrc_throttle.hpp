@@ -41,10 +41,6 @@ class DdrcThrottle final : public axi::SlaveIf {
                axi::SlaveIf& inner);
 
   [[nodiscard]] const DdrcThrottleConfig& config() const { return cfg_; }
-  /// Bytes refused so far because a bucket was dry (per direction).
-  [[nodiscard]] std::uint64_t throttled_rejections() const {
-    return rejections_;
-  }
 
   /// Reprograms the rates (takes effect immediately).
   void set_rates(double read_bps, double write_bps);
@@ -63,7 +59,6 @@ class DdrcThrottle final : public axi::SlaveIf {
   axi::SlaveIf* inner_;
   TokenBucket read_bucket_;
   TokenBucket write_bucket_;
-  mutable std::uint64_t rejections_ = 0;
 };
 
 }  // namespace fgqos::qos

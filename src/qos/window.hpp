@@ -2,6 +2,7 @@
 /// \brief Budget-accounting primitives shared by regulators.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
 #include "sim/time.hpp"
@@ -28,7 +29,7 @@ enum class ReplenishKind : std::uint8_t {
 /// systematic undershoot of strict "enough tokens" checks when the window
 /// budget is not a multiple of the transfer size: the long-run average
 /// equals the programmed rate exactly, with per-window overshoot bounded
-/// by one transfer.
+/// by one transfer (as long as every grant is debited when it happens).
 class TokenBucket {
  public:
   /// \param budget_bytes tokens granted per window
@@ -43,8 +44,19 @@ class TokenBucket {
   /// Debits \p bytes (may drive the credit negative). Pre: can_spend().
   void spend(std::uint64_t bytes);
 
+  /// Debits \p bytes of a grant the owner learns of only after a lag,
+  /// with no credit precondition: the grant was admitted on stale credit,
+  /// so under lag the overdraft is unbounded (the effect the coupling
+  /// ablation measures).
+  void debit_late(std::uint64_t bytes) {
+    tokens_ -= static_cast<std::int64_t>(bytes);
+  }
+
   /// Window boundary: refill per the replenish kind.
   void replenish();
+
+  /// Clears any overdraft (credit below zero becomes zero).
+  void forgive_debt() { tokens_ = std::max<std::int64_t>(tokens_, 0); }
 
   /// Changes the per-window budget. An immediate clamp avoids stale
   /// oversized credit pools.

@@ -87,8 +87,8 @@ struct SocConfig {
       .kind = qos::ReplenishKind::kFixedWindow,
       .max_accumulation_windows = 1,
       .enabled = false,
-      .gate_reads = true,
-      .gate_writes = true,
+      .bank_budget_bytes = {},
+      .observation_latency_ps = 0,
   };
   qos::MonitorConfig default_monitor{
       .name = "mon",

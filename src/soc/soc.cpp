@@ -269,10 +269,10 @@ telemetry::TimeSeriesRecorder& Soc::enable_timeseries(
     if (brp == nullptr) {
       continue;
     }
-    qos::BankRegulator* br = brp.get();
+    qos::Regulator* br = brp.get();
     rec.add_series("qos." + br->config().name + ".throttled_ps", Kind::kDelta,
                    [br](sim::TimePs) {
-                     return static_cast<double>(br->total_throttled_ps());
+                     return static_cast<double>(br->stats().throttled_ps);
                    });
   }
   for (auto& tgp : traffic_gens_) {
@@ -396,8 +396,8 @@ qos::RegulatorWatchdog& Soc::add_regulator_watchdog(
   return *watchdogs_.back();
 }
 
-qos::BankRegulator& Soc::add_bank_regulator(std::size_t master_index,
-                                            qos::BankRegulatorConfig brc) {
+qos::Regulator& Soc::add_bank_regulator(std::size_t master_index,
+                                        qos::RegulatorConfig brc) {
   config_check(master_index < xbar_->master_count(),
                "Soc: master index out of range");
   // With channel interleaving a line's bank depends on which channel it
@@ -410,11 +410,12 @@ qos::BankRegulator& Soc::add_bank_regulator(std::size_t master_index,
   config_check(bank_regs_[master_index] == nullptr,
                "Soc: master " + std::to_string(master_index) +
                    " already has a bank regulator");
-  if (brc.name == "bankreg") {
+  if (brc.name == qos::RegulatorConfig{}.name) {
     brc.name = xbar_->master(master_index).name() + ".bankreg";
   }
-  bank_regs_[master_index] = std::make_unique<qos::BankRegulator>(
-      sim_, std::move(brc), cfg_.dram.timing, cfg_.dram.mapping);
+  bank_regs_[master_index] = std::make_unique<qos::Regulator>(
+      sim_, std::move(brc),
+      dram::AddressMapper(cfg_.dram.timing, cfg_.dram.mapping));
   xbar_->master(master_index).add_gate(*bank_regs_[master_index]);
   if (telemetry::DecisionJournal* j = telemetry_.journal()) {
     bank_regs_[master_index]->set_journal(j);
@@ -422,7 +423,7 @@ qos::BankRegulator& Soc::add_bank_regulator(std::size_t master_index,
   return *bank_regs_[master_index];
 }
 
-qos::BankRegulator* Soc::bank_regulator(std::size_t master_index) {
+qos::Regulator* Soc::bank_regulator(std::size_t master_index) {
   return master_index < bank_regs_.size() ? bank_regs_[master_index].get()
                                           : nullptr;
 }
@@ -433,11 +434,11 @@ std::size_t Soc::apply_bank_budgets(const qos::BankBudgetSpec& spec) {
                  "Soc: bank budget names HP port " + std::to_string(pb.port) +
                      " but the platform has " +
                      std::to_string(cfg_.accel_ports));
-    qos::BankRegulatorConfig brc;
+    qos::RegulatorConfig brc;
     brc.window_ps = spec.window_ps;
     brc.kind = spec.kind;
     brc.max_accumulation_windows = spec.max_accumulation_windows;
-    brc.budget_bytes = spec.budgets_for(
+    brc.bank_budget_bytes = spec.budgets_for(
         pb, static_cast<std::uint32_t>(cfg_.dram.timing.banks));
     add_bank_regulator(1 + pb.port, std::move(brc));
   }
@@ -567,34 +568,33 @@ telemetry::MetricsRegistry& Soc::collect_metrics() {
               static_cast<double>(p.stats().read_latency.p99()));
   }
 
-  for (const auto& block : qos_blocks_) {
-    const auto& rs = block.regulator->stats();
-    const std::string rp = "qos." + block.regulator->config().name + ".";
+  // Regulator totals as qos.<name>.*, plus qos.<name>.bank.<b>.* for each
+  // regulated bank of a bank-keyed gate.
+  const auto set_regulator_counters = [&](const std::string& rp,
+                                          const qos::RegulatorStats& rs) {
     set_counter(rp + "exhausted_windows", rs.exhausted_windows);
     set_counter(rp + "throttled_ps", rs.throttled_ps);
     set_counter(rp + "regulated_bytes", rs.regulated_bytes);
+  };
+  const auto publish_regulator = [&](const qos::Regulator& r) {
+    const std::string rp = "qos." + r.config().name + ".";
+    set_regulator_counters(rp, r.stats());
+    for (std::uint32_t b = 0; b < r.banks(); ++b) {
+      if (r.bank_limited(b)) {
+        set_regulator_counters(rp + "bank." + std::to_string(b) + ".",
+                               r.bank_stats(b));
+      }
+    }
+  };
+  for (const auto& block : qos_blocks_) {
+    publish_regulator(*block.regulator);
     const std::string mp = "qos." + block.monitor->config().name + ".";
     set_counter(mp + "total_bytes", block.monitor->total_bytes());
     set_counter(mp + "windows_closed", block.monitor->windows_closed());
   }
-
   for (const auto& br : bank_regs_) {
-    if (br == nullptr) {
-      continue;
-    }
-    const std::string rp = "qos." + br->config().name + ".";
-    set_counter(rp + "exhausted_windows", br->total_exhausted_windows());
-    set_counter(rp + "throttled_ps", br->total_throttled_ps());
-    set_counter(rp + "regulated_bytes", br->regulated_bytes());
-    for (std::uint32_t b = 0; b < br->banks(); ++b) {
-      if (!br->bank_limited(b)) {
-        continue;
-      }
-      const qos::BankRegBankStats& bs = br->bank_stats(b);
-      const std::string bp = rp + "bank." + std::to_string(b) + ".";
-      set_counter(bp + "exhausted_windows", bs.exhausted_windows);
-      set_counter(bp + "throttled_ps", bs.throttled_ps);
-      set_counter(bp + "regulated_bytes", bs.regulated_bytes);
+    if (br != nullptr) {
+      publish_regulator(*br);
     }
   }
 

@@ -17,7 +17,7 @@
 #include "cpu/core.hpp"
 #include "dram/controller.hpp"
 #include "fault/injector.hpp"
-#include "qos/bank_regulator.hpp"
+#include "qos/bank_budget_spec.hpp"
 #include "qos/ddrc_throttle.hpp"
 #include "qos/regfile.hpp"
 #include "qos/regulator_watchdog.hpp"
@@ -119,10 +119,12 @@ class Soc {
   /// gates must allow). Single-channel platforms only: with channel
   /// interleaving the line's bank depends on which channel it routes to.
   /// At most one per master, added before running.
-  qos::BankRegulator& add_bank_regulator(std::size_t master_index,
-                                         qos::BankRegulatorConfig cfg);
+  /// \p cfg carries the per-bank budgets (RegulatorConfig::
+  /// bank_budget_bytes); its default name becomes "<port>.bankreg".
+  qos::Regulator& add_bank_regulator(std::size_t master_index,
+                                     qos::RegulatorConfig cfg);
   /// The per-bank regulator on \p master_index, or nullptr.
-  [[nodiscard]] qos::BankRegulator* bank_regulator(std::size_t master_index);
+  [[nodiscard]] qos::Regulator* bank_regulator(std::size_t master_index);
 
   /// Instantiates one per-bank regulator per spec entry (spec ports index
   /// the HP ports, matching serving specs) with the spec's window/kind and
@@ -263,7 +265,7 @@ class Soc {
   std::vector<std::unique_ptr<qos::RegulatorWatchdog>> watchdogs_;
   /// Per-master per-bank regulators, indexed by crossbar master (sparse:
   /// nullptr where none was added).
-  std::vector<std::unique_ptr<qos::BankRegulator>> bank_regs_;
+  std::vector<std::unique_ptr<qos::Regulator>> bank_regs_;
 };
 
 }  // namespace fgqos::soc

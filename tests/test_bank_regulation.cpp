@@ -1,7 +1,8 @@
 // Per-bank accounting and regulation: kBankPartitioned decoding, the
 // capacity-alias out-of-range detector (count + strict mode), the
-// BankRegulator gate (per-bank exhaustion, mid-window reconfiguration
-// discipline, journal records), the BankBudgetSpec JSON schema, the
+// bank-keyed Regulator gate (per-bank exhaustion, mid-window
+// reconfiguration discipline, journal records), the BankBudgetSpec JSON
+// schema, the
 // attribution bank dimension, and the per-window conservation property
 // (sum over banks == port aggregate, both mapping policies, with a fault
 // plan active). Pinned regressions for the serving zero-sample and
@@ -16,7 +17,9 @@
 
 #include "dram/address_mapper.hpp"
 #include "fault/fault_plan.hpp"
-#include "qos/bank_regulator.hpp"
+#include "qos/bank_budget_spec.hpp"
+#include "qos/regfile.hpp"
+#include "qos/regulator.hpp"
 #include "soc/soc.hpp"
 #include "telemetry/attribution.hpp"
 #include "telemetry/journal.hpp"
@@ -92,7 +95,7 @@ TEST(AddressMapper, StrictModeThrowsOnAlias) {
 }
 
 // --------------------------------------------------------------------------
-// BankRegulator
+// BankRegulator: qos::Regulator keyed by DRAM bank
 // --------------------------------------------------------------------------
 
 /// Synthetic line request bound for \p addr.
@@ -117,20 +120,24 @@ class BankLineFactory {
   std::vector<std::unique_ptr<axi::Transaction>> txns_;
 };
 
-/// Partitioned-mapping regulator: bank k lives at k * 128 MiB.
-qos::BankRegulatorConfig two_bank_cfg(std::uint64_t bank0_budget) {
-  qos::BankRegulatorConfig rc;
+/// Bank-keyed regulator config: bank 0 limited, the rest free.
+qos::RegulatorConfig two_bank_cfg(std::uint64_t bank0_budget) {
+  qos::RegulatorConfig rc;
   rc.window_ps = 1000;
-  rc.budget_bytes = {bank0_budget};  // bank 0 limited, the rest free
+  rc.bank_budget_bytes = {bank0_budget};
   return rc;
+}
+
+/// Partitioned mapping: bank k lives at k * 128 MiB.
+dram::AddressMapper partitioned(const dram::TimingConfig& t) {
+  return dram::AddressMapper(t, dram::MappingPolicy::kBankPartitioned);
 }
 
 TEST(BankRegulator, GatesOnlyTheExhaustedBank) {
   sim::Simulator s;
   dram::TimingConfig t;
   const std::uint64_t slice = t.capacity_bytes / t.banks;
-  qos::BankRegulator reg(s, two_bank_cfg(128), t,
-                         dram::MappingPolicy::kBankPartitioned);
+  qos::Regulator reg(s, two_bank_cfg(128), partitioned(t));
   BankLineFactory lf;
   const auto bank0 = lf.make(0, 64);
   const auto bank1 = lf.make(slice, 64);
@@ -151,15 +158,14 @@ TEST(BankRegulator, GatesOnlyTheExhaustedBank) {
   EXPECT_FALSE(reg.exhausted(0));
   EXPECT_EQ(reg.bank_stats(0).exhausted_windows, 1u);
   EXPECT_EQ(reg.bank_stats(0).throttled_ps, 1000u);
-  EXPECT_EQ(reg.total_exhausted_windows(), 1u);
-  EXPECT_EQ(reg.regulated_bytes(), 128u);
+  EXPECT_EQ(reg.stats().exhausted_windows, 1u);
+  EXPECT_EQ(reg.stats().regulated_bytes, 128u);
 }
 
 TEST(BankRegulator, MidWindowReconfigClosesThrottleAtTheEdge) {
   sim::Simulator s;
   dram::TimingConfig t;
-  qos::BankRegulator reg(s, two_bank_cfg(64), t,
-                         dram::MappingPolicy::kBankPartitioned);
+  qos::Regulator reg(s, two_bank_cfg(64), partitioned(t));
   BankLineFactory lf;
   reg.on_grant(lf.make(0, 64), 0);  // exhausts bank 0 at t=0
   EXPECT_TRUE(reg.exhausted(0));
@@ -180,8 +186,7 @@ TEST(BankRegulator, MidWindowReconfigClosesThrottleAtTheEdge) {
 TEST(BankRegulator, ZeroBudgetLiftsRegulation) {
   sim::Simulator s;
   dram::TimingConfig t;
-  qos::BankRegulator reg(s, two_bank_cfg(64), t,
-                         dram::MappingPolicy::kBankPartitioned);
+  qos::Regulator reg(s, two_bank_cfg(64), partitioned(t));
   BankLineFactory lf;
   reg.on_grant(lf.make(0, 64), 0);
   EXPECT_FALSE(reg.allow(lf.make(0, 64), 0));
@@ -194,8 +199,7 @@ TEST(BankRegulator, ZeroBudgetLiftsRegulation) {
 TEST(BankRegulator, DisabledIsTransparentAndJournalRecordsWrites) {
   sim::Simulator s;
   dram::TimingConfig t;
-  qos::BankRegulator reg(s, two_bank_cfg(64), t,
-                         dram::MappingPolicy::kBankPartitioned);
+  qos::Regulator reg(s, two_bank_cfg(64), partitioned(t));
   telemetry::DecisionJournal journal;
   reg.set_journal(&journal);
   BankLineFactory lf;
@@ -274,11 +278,11 @@ TEST(BankBudgetSpec, SocAppliesPerPortRegulators) {
   ASSERT_NE(chip.bank_regulator(3), nullptr);  // HP port 2 = master 3
   EXPECT_EQ(chip.bank_regulator(0), nullptr);  // CPU port untouched
   EXPECT_EQ(chip.bank_regulator(2), nullptr);
-  const qos::BankRegulator& reg = *chip.bank_regulator(1);
+  const qos::Regulator& reg = *chip.bank_regulator(1);
   EXPECT_EQ(reg.config().window_ps, 10 * sim::kPsPerUs);
   EXPECT_TRUE(reg.bank_limited(0));
   EXPECT_FALSE(reg.bank_limited(2));  // "2": 0 deregulates
-  EXPECT_EQ(reg.config().budget_bytes[1], 500u);
+  EXPECT_EQ(reg.config().bank_budget_bytes[1], 500u);
   // A spec port beyond the platform's HP ports is a configuration error.
   const qos::BankBudgetSpec wide =
       qos::BankBudgetSpec::from_json(R"({"ports": [{"port": 63}]})");

@@ -52,10 +52,11 @@ TEST(SoftMemguardRace, IsrLandingAfterBoundaryIsDropped) {
 
 TEST(LaggedRegulatorDisabled, PassesEverything) {
   sim::Simulator s;
-  qos::LaggedRegulatorConfig lc;
-  lc.budget_bytes = 1;
-  lc.enabled = false;
-  qos::LaggedRegulator reg(s, lc);
+  qos::RegulatorConfig rc;
+  rc.budget_bytes = 1;
+  rc.enabled = false;
+  rc.observation_latency_ps = 10 * sim::kPsPerUs;
+  qos::Regulator reg(s, rc);
   axi::Transaction txn;
   axi::LineRequest l;
   l.txn = &txn;
@@ -63,7 +64,7 @@ TEST(LaggedRegulatorDisabled, PassesEverything) {
   EXPECT_TRUE(reg.allow(l, 0));
   reg.on_grant(l, 0);
   EXPECT_TRUE(reg.allow(l, 0));
-  EXPECT_EQ(reg.window_bytes_true(), 0u);  // disabled: not even counted
+  EXPECT_EQ(reg.stats().regulated_bytes, 0u);  // disabled: not even counted
 }
 
 TEST(KernelHotSwap, CoreSwitchesWorkloadsMidRun) {

@@ -9,6 +9,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
+#include <ostream>
 #include <tuple>
 #include <vector>
 
@@ -58,53 +60,94 @@ INSTANTIATE_TEST_SUITE_P(
                           qos::ReplenishKind::kTokenBucket)));
 
 // --------------------------------------------------------------------------
-// Regulator hard bounds under randomized budgets and windows. The
-// credit-based design (window.hpp) admits a grant whenever the credit is
-// positive and debits the full cost afterwards, so the invariants are:
+// Regulator hard bounds under randomized budgets and windows, for the
+// aggregate gate and for the bank-keyed gate (one bucket per DRAM bank).
+// The credit-based design (window.hpp) admits a grant whenever the credit
+// is positive and debits the full cost afterwards, so per bucket the
+// invariants are:
 //  * bytes granted inside any closed regulation window never exceed the
 //    replenish amount (budget, or the burst cap for token buckets) plus
 //    one transfer of overshoot;
 //  * the token credit never overdrafts by a full transfer or more, and
-//    never exceeds the burst cap.
+//    never exceeds the burst cap;
+//  * the regulator's own overshoot stat equals the probe's largest
+//    closed-window byte count minus the budget.
 // --------------------------------------------------------------------------
 
 /// Watches one regulated port: window-aligned byte accounting plus the
-/// post-debit credit extrema. Observers run after gates, so tokens() here
-/// is the value the debit just left behind.
+/// post-debit credit extrema, per bucket. Observers run after gates, so
+/// tokens() here is the value the debit just left behind. A bank-keyed
+/// regulator's lines are decoded with the probe's own \p bank_map.
 class RegulatorProbe final : public axi::TxnObserver {
  public:
-  RegulatorProbe(const qos::Regulator& reg, sim::TimePs window_ps)
-      : reg_(reg), windowed_(window_ps) {}
+  RegulatorProbe(const qos::Regulator& reg, sim::TimePs window_ps,
+                 std::optional<dram::AddressMapper> bank_map)
+      : reg_(reg),
+        bank_map_(std::move(bank_map)),
+        windowed_(std::max(reg.banks(), 1u), sim::WindowedBytes(window_ps)),
+        min_tokens_(windowed_.size(), 0),
+        max_tokens_(windowed_.size(), 0) {}
 
   void on_issue(const axi::Transaction&, sim::TimePs) override {}
   void on_grant(const axi::LineRequest& l, sim::TimePs now) override {
-    windowed_.add(now, l.bytes);
-    min_tokens_ = std::min(min_tokens_, reg_.tokens());
-    max_tokens_ = std::max(max_tokens_, reg_.tokens());
+    const std::uint32_t k = bank_map_ ? bank_map_->decode(l.addr).bank : 0;
+    windowed_[k].add(now, l.bytes);
+    min_tokens_[k] = std::min(min_tokens_[k], reg_.tokens(k));
+    max_tokens_[k] = std::max(max_tokens_[k], reg_.tokens(k));
     max_line_ = std::max<std::uint64_t>(max_line_, l.bytes);
   }
   void on_complete(const axi::Transaction&, sim::TimePs) override {}
 
-  void flush(sim::TimePs now) { windowed_.flush(now); }
-  [[nodiscard]] const sim::WindowedBytes& windows() const { return windowed_; }
-  [[nodiscard]] std::int64_t min_tokens() const { return min_tokens_; }
-  [[nodiscard]] std::int64_t max_tokens() const { return max_tokens_; }
+  void flush(sim::TimePs now) {
+    for (sim::WindowedBytes& w : windowed_) {
+      w.flush(now);
+    }
+  }
+  [[nodiscard]] const sim::WindowedBytes& windows(std::uint32_t k) const {
+    return windowed_[k];
+  }
+  [[nodiscard]] std::int64_t min_tokens(std::uint32_t k) const {
+    return min_tokens_[k];
+  }
+  [[nodiscard]] std::int64_t max_tokens(std::uint32_t k) const {
+    return max_tokens_[k];
+  }
   [[nodiscard]] std::uint64_t max_line() const { return max_line_; }
 
  private:
   const qos::Regulator& reg_;
-  sim::WindowedBytes windowed_;
-  std::int64_t min_tokens_ = 0;
-  std::int64_t max_tokens_ = 0;
+  std::optional<dram::AddressMapper> bank_map_;
+  std::vector<sim::WindowedBytes> windowed_;
+  std::vector<std::int64_t> min_tokens_;
+  std::vector<std::int64_t> max_tokens_;
   std::uint64_t max_line_ = 0;
 };
 
-class RegulatorBounds : public ::testing::TestWithParam<std::uint64_t> {};
+/// One randomized point: the seed, and which bucket key the gate uses.
+struct BoundsPoint {
+  std::uint64_t seed;
+  bool bank_keyed;
+};
+
+void PrintTo(const BoundsPoint& p, std::ostream* os) {
+  *os << (p.bank_keyed ? "bank" : "") << p.seed;
+}
+
+std::vector<BoundsPoint> bounds_points(bool bank_keyed) {
+  std::vector<BoundsPoint> points;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    points.push_back({seed, bank_keyed});
+  }
+  return points;
+}
+
+class RegulatorBounds : public ::testing::TestWithParam<BoundsPoint> {};
 
 TEST_P(RegulatorBounds, WindowOvershootAndOverdraftBounded) {
   // Each seed draws a fresh random (budget, window, kind, pattern) point;
   // the bounds must hold at every single one.
-  sim::Xoshiro256 rng(GetParam());
+  const auto [seed, bank_keyed] = GetParam();
+  sim::Xoshiro256 rng(seed);
   const double rate_bps = 5e7 * static_cast<double>(rng.next_in(1, 60));
   const sim::TimePs window_ps =
       static_cast<sim::TimePs>(rng.next_in(200, 2000)) * sim::kPsPerNs *
@@ -122,39 +165,73 @@ TEST_P(RegulatorBounds, WindowOvershootAndOverdraftBounded) {
   tg.pattern = pattern;
   tg.seed = rng.next();
   chip.add_traffic_gen(0, tg);
-  qos::Regulator& reg = *chip.qos_block(1).regulator;
-  reg.set_rate(rate_bps);
-  reg.set_enabled(true);
+  qos::Regulator* reg = chip.qos_block(1).regulator.get();
+  std::optional<dram::AddressMapper> bank_map;
+  if (bank_keyed) {
+    // The same draw per bank, a quarter of the banks left unregulated.
+    qos::RegulatorConfig rc;
+    rc.window_ps = window_ps;
+    rc.kind = kind;
+    for (std::uint32_t b = 0; b < cfg.dram.timing.banks; ++b) {
+      rc.bank_budget_bytes.push_back(
+          rng.next_bool(0.25)
+              ? 0
+              : qos::budget_for_rate(rate_bps / 4, window_ps));
+    }
+    reg = &chip.add_bank_regulator(1, rc);
+    bank_map.emplace(cfg.dram.timing, cfg.dram.mapping);
+  } else {
+    reg->set_rate(rate_bps);
+    reg->set_enabled(true);
+  }
   // Window-aligned with the regulator: both start counting at t=0 and
   // replenish events fire before same-timestamp grant ticks.
-  RegulatorProbe probe(reg, window_ps);
+  RegulatorProbe probe(*reg, window_ps, bank_map);
   chip.accel_port(0).add_observer(probe);
 
   chip.run_for(3 * sim::kPsPerMs);
   probe.flush(chip.now());
 
-  const std::uint64_t budget = reg.config().budget_bytes;
-  const std::uint64_t cap = budget * reg.config().max_accumulation_windows;
-  const std::uint64_t replenish_bound =
-      (kind == qos::ReplenishKind::kTokenBucket ? cap : budget);
   SCOPED_TRACE("rate=" + std::to_string(rate_bps) +
                " window=" + std::to_string(window_ps) +
-               " budget=" + std::to_string(budget));
-  ASSERT_GT(probe.windows().samples().size(), 2u);
-  for (const std::uint64_t bytes : probe.windows().samples()) {
-    EXPECT_LE(bytes, replenish_bound + probe.max_line());
+               " bank_keyed=" + std::to_string(bank_keyed));
+  std::uint32_t checked = 0;
+  for (std::uint32_t k = 0; k < std::max(reg->banks(), 1u); ++k) {
+    if (bank_keyed && !reg->bank_limited(k)) {
+      continue;
+    }
+    const std::uint64_t budget = bank_keyed
+                                     ? reg->config().bank_budget_bytes[k]
+                                     : reg->config().budget_bytes;
+    const std::uint64_t cap = budget * reg->config().max_accumulation_windows;
+    const std::uint64_t replenish_bound =
+        (kind == qos::ReplenishKind::kTokenBucket ? cap : budget);
+    SCOPED_TRACE("bucket=" + std::to_string(k) +
+                 " budget=" + std::to_string(budget));
+    const std::vector<std::uint64_t>& samples = probe.windows(k).samples();
+    ASSERT_GT(samples.size(), 2u);
+    for (const std::uint64_t bytes : samples) {
+      EXPECT_LE(bytes, replenish_bound + probe.max_line());
+    }
+    // Overdraft strictly smaller than one transfer; credit never exceeds
+    // the burst cap.
+    EXPECT_GT(probe.min_tokens(k),
+              -static_cast<std::int64_t>(probe.max_line()));
+    EXPECT_LE(probe.max_tokens(k), static_cast<std::int64_t>(cap));
+    // The regulator's running max agrees with the independent probe.
+    const std::uint64_t most = probe.windows(k).max_window_bytes();
+    const qos::RegulatorStats& rs =
+        bank_keyed ? reg->bank_stats(k) : reg->stats();
+    EXPECT_EQ(rs.max_overshoot_bytes, most > budget ? most - budget : 0);
+    ++checked;
   }
-  // Overdraft strictly smaller than one transfer; credit never exceeds
-  // the burst cap.
-  EXPECT_GT(probe.min_tokens(),
-            -static_cast<std::int64_t>(probe.max_line()));
-  EXPECT_LE(probe.max_tokens(),
-            static_cast<std::int64_t>(budget *
-                                      reg.config().max_accumulation_windows));
+  EXPECT_GT(checked, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomizedPoints, RegulatorBounds,
-                         ::testing::Range<std::uint64_t>(1, 13));
+                         ::testing::ValuesIn(bounds_points(false)));
+INSTANTIATE_TEST_SUITE_P(BankKeyedPoints, RegulatorBounds,
+                         ::testing::ValuesIn(bounds_points(true)));
 
 // --------------------------------------------------------------------------
 // Interference monotonicity: more aggressors never make the critical task

@@ -5,11 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "qos/bandwidth_monitor.hpp"
 #include "qos/cmri.hpp"
-#include "qos/polling_monitor.hpp"
 #include "qos/prem_arbiter.hpp"
 #include "qos/regfile.hpp"
 #include "qos/regulator.hpp"
@@ -195,18 +195,6 @@ TEST(Regulator, DisabledIsTransparent) {
   EXPECT_EQ(reg.stats().regulated_bytes, 0u);
 }
 
-TEST(Regulator, DirectionSelective) {
-  sim::Simulator s;
-  RegulatorConfig rc;
-  rc.budget_bytes = 64;
-  rc.gate_writes = false;
-  Regulator reg(s, rc);
-  LineFactory lf;
-  reg.on_grant(lf.make(0, 64), 0);  // read: spends budget
-  EXPECT_FALSE(reg.allow(lf.make(0, 64), 0));
-  EXPECT_TRUE(reg.allow(lf.make(0, 64, true), 0));  // writes unrestricted
-}
-
 TEST(Regulator, SetRateProgramsBudget) {
   sim::Simulator s;
   RegulatorConfig rc;
@@ -283,6 +271,46 @@ TEST(RegFile, CtrlRestartReloadsCreditAndRestartsWindow) {
   EXPECT_FALSE(reg.exhausted());
   EXPECT_EQ(reg.tokens(), 128);
 }
+
+// Re-enabling a gate whose credit is still spent: STATUS and exhausted()
+// must read shut, and the rest of the window counts as throttled — for
+// the aggregate bucket and for a bank bucket alike.
+class RegFileReenable : public ::testing::TestWithParam<bool> {};
+
+TEST_P(RegFileReenable, ReenableWithoutCreditShutsGateAgain) {
+  sim::Simulator s;
+  RegulatorConfig rc;
+  rc.budget_bytes = 64;
+  rc.window_ps = 10'000;
+  std::optional<dram::AddressMapper> banks;
+  if (GetParam()) {
+    rc.bank_budget_bytes = {64};  // bank 0 limited; address 0 is bank 0
+    banks.emplace(dram::TimingConfig{},
+                  dram::MappingPolicy::kBankPartitioned);
+  }
+  Regulator reg(s, rc, banks);
+  QosRegFile rf(&reg, nullptr);
+  LineFactory lf;
+  const axi::LineRequest line = lf.make(0, 64);
+  s.schedule_at(0, [&] { reg.on_grant(line, 0); });  // shuts the gate
+  s.schedule_at(1000, [&] { rf.write(Reg::kCtrl, 0); });
+  s.schedule_at(2000, [&] {
+    rf.write(Reg::kCtrl, 1);
+    EXPECT_FALSE(reg.allow(line, 2000));
+    EXPECT_TRUE(reg.exhausted());
+    EXPECT_EQ(rf.read(Reg::kStatus), 1u);
+  });
+  s.run_until(10'500);  // the replenish at t=10 ns reopens the gate
+  EXPECT_TRUE(reg.allow(line, s.now()));
+  EXPECT_EQ(rf.read(Reg::kStatus), 0u);
+  EXPECT_EQ(reg.stats().throttled_ps, 9000u);  // [0, 1) + [2, 10) ns
+}
+
+INSTANTIATE_TEST_SUITE_P(BucketKey, RegFileReenable,
+                         ::testing::Values(false, true),
+                         [](const ::testing::TestParamInfo<bool>& p) {
+                           return p.param ? "Bank" : "Aggregate";
+                         });
 
 TEST(RegFile, MonitorCountersReadable) {
   sim::Simulator s;
@@ -422,30 +450,31 @@ TEST(Cmri, NonOwnerInjectsUpToBudget) {
 }
 
 // --------------------------------------------------------------------------
-// LaggedRegulator (coupling ablation)
+// LaggedRegulator: qos::Regulator with an observation latency (coupling
+// ablation)
 // --------------------------------------------------------------------------
 
 TEST(LaggedRegulator, ZeroLagBehavesLikeTight) {
   sim::Simulator s;
-  LaggedRegulatorConfig lc;
-  lc.budget_bytes = 128;
-  lc.window_ps = 1000;
-  lc.observation_latency_ps = 0;
-  LaggedRegulator reg(s, lc);
+  RegulatorConfig rc;
+  rc.budget_bytes = 128;
+  rc.window_ps = 1000;
+  rc.observation_latency_ps = 0;
+  Regulator reg(s, rc);
   LineFactory lf;
   reg.on_grant(lf.make(0, 64), 0);
   reg.on_grant(lf.make(0, 64), 0);
   EXPECT_FALSE(reg.allow(lf.make(0, 64), 0));
-  EXPECT_EQ(reg.max_overshoot_bytes(), 0u);
+  EXPECT_EQ(reg.stats().max_overshoot_bytes, 0u);
 }
 
 TEST(LaggedRegulator, LagAllowsOvershoot) {
   sim::Simulator s;
-  LaggedRegulatorConfig lc;
-  lc.budget_bytes = 128;
-  lc.window_ps = 10'000;
-  lc.observation_latency_ps = 5'000;  // half a window blind
-  LaggedRegulator reg(s, lc);
+  RegulatorConfig rc;
+  rc.budget_bytes = 128;
+  rc.window_ps = 10'000;
+  rc.observation_latency_ps = 5'000;  // half a window blind
+  Regulator reg(s, rc);
   LineFactory lf;
   // Grants at t=0 are observed only at t=5000, so the gate stays open.
   s.schedule_at(0, [&] {
@@ -460,7 +489,7 @@ TEST(LaggedRegulator, LagAllowsOvershoot) {
   });
   s.run_until(20'000);
   // 384 granted vs 128 budget: 256 overshoot recorded at window close.
-  EXPECT_EQ(reg.max_overshoot_bytes(), 256u);
+  EXPECT_EQ(reg.stats().max_overshoot_bytes, 256u);
 }
 
 // --------------------------------------------------------------------------

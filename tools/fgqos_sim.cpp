@@ -17,7 +17,7 @@
 #include "dram/address_mapper.hpp"
 #include "fault/fault_plan.hpp"
 #include "fault/injector.hpp"
-#include "qos/bank_regulator.hpp"
+#include "qos/bank_budget_spec.hpp"
 #include "qos/envelope.hpp"
 #include "qos/qos_manager.hpp"
 #include "qos/sla_watchdog.hpp"

@@ -32,7 +32,7 @@
 #include "fault/fault_plan.hpp"
 #include "fault/injector.hpp"
 #include "fgqos.hpp"
-#include "qos/bank_regulator.hpp"
+#include "qos/bank_budget_spec.hpp"
 #include "qos/envelope.hpp"
 #include "qos/qos_manager.hpp"
 #include "telemetry/manifest.hpp"
