@@ -42,6 +42,9 @@ class ChannelRouter final : public SlaveIf {
   [[nodiscard]] bool can_accept(const LineRequest& line,
                                 sim::TimePs now) const override;
   void accept(LineRequest line, sim::TimePs now) override;
+  /// True when every channel signals: each one reports freed space to the
+  /// shared ResponseSink itself.
+  [[nodiscard]] bool signals_space() const override;
 
  private:
   std::vector<SlaveIf*> channels_;

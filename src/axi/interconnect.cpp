@@ -1,5 +1,7 @@
 #include "axi/interconnect.hpp"
 
+#include <algorithm>
+
 #include "util/assert.hpp"
 #include "util/config_error.hpp"
 
@@ -47,11 +49,18 @@ void Interconnect::notify_work(sim::TimePs ready_at) { wake_at(ready_at); }
 bool Interconnect::tick(sim::Cycles /*cycle*/) {
   FGQOS_ASSERT(slave_ != nullptr, "Interconnect: slave not wired");
   const sim::TimePs now = simulator().now();
+  awaiting_space_ = false;
   // Single exit: the grant loop only ever breaks (never returns) so the
   // end-of-tick attribution pass runs on every tick, including the
   // locked-burst stall paths.
   int first_granted = -1;
   bool hold = false;
+  // Sleep bookkeeping, valid when `settled`: the last port scan plus the
+  // grant that followed it cover every port. `retry` is the earliest time
+  // a port can turn grantable without notifying (see grant_block_reason).
+  bool settled = false;
+  sim::TimePs retry = sim::kTimeNever;
+  bool refused = false;  // a grantable line the signalling slave refused
   for (std::size_t grant = 0; grant < cfg_.issue_width && !hold; ++grant) {
     int pick = -1;
     if (locked_master_ >= 0) {
@@ -64,6 +73,7 @@ bool Interconnect::tick(sim::Cycles /*cycle*/) {
             hold = true;
           } else {
             pick = locked_master_;
+            settled = false;
           }
           break;
         case MasterPort::BlockReason::kRateLimit:
@@ -82,27 +92,44 @@ bool Interconnect::tick(sim::Cycles /*cycle*/) {
       }
     }
     if (pick < 0) {
-      bool any = false;
+      retry = sim::kTimeNever;
+      refused = false;
+      std::size_t eligible = 0;
       for (std::size_t i = 0; i < ports_.size(); ++i) {
-        bool ok = ports_[i]->has_grantable_line(now);
-        if (ok) {
+        const MasterPort& p = *ports_[i];
+        bool ok = false;
+        if (p.grant_block_reason(now, retry) ==
+            MasterPort::BlockReason::kNone) {
           // The slave must also have room for this specific line.
-          ok = slave_->can_accept(ports_[i]->peek_line(now), now);
+          ok = slave_->can_accept(p.peek_line(now), now);
+          if (ok) {
+            ++eligible;
+          } else if (slave_signals_) {
+            refused = true;
+          } else {
+            retry = now;
+          }
         }
         eligible_[i] = ok;
-        any = any || ok;
       }
-      if (!any) {
+      if (eligible == 0) {
+        settled = true;
         break;
       }
       pick = arbiter_->pick(eligible_, now);
       if (pick < 0) {
         break;
       }
+      // Another eligible port may be granted next cycle.
+      settled = eligible == 1;
     }
-    LineRequest line =
-        ports_[static_cast<std::size_t>(pick)]->commit_grant(now);
+    MasterPort& winner = *ports_[static_cast<std::size_t>(pick)];
+    LineRequest line = winner.commit_grant(now);
     slave_->accept(line, now);
+    if (settled && winner.grant_block_reason(now, retry) ==
+                       MasterPort::BlockReason::kNone) {
+      retry = now;
+    }
     if (attr_ != nullptr) {
       if (first_granted < 0) {
         first_granted = pick;
@@ -113,29 +140,41 @@ bool Interconnect::tick(sim::Cycles /*cycle*/) {
       locked_master_ = line.last_of_txn ? -1 : pick;
     }
   }
-  if (attr_ != nullptr) {
-    attribution_pass(now, first_granted);
-  }
-  if (hold) {
+  // Attribution first: while it charges a waiting head it needs every
+  // cycle, and then the sleep decision below is moot.
+  if (attr_ != nullptr && attribution_pass(now, first_granted)) {
     return true;
   }
-  // Keep ticking while any port has queued or in-flight work; requests that
-  // are currently gate-blocked still need periodic re-evaluation.
-  for (const auto& p : ports_) {
-    if (p->has_pending_work()) {
-      return true;
-    }
+  if (hold || locked_master_ >= 0 || !settled) {
+    return true;
+  }
+  if (retry <= now + clock().period_ps()) {
+    return true;
+  }
+  // No port can be granted before `retry`; everything else that could
+  // change that notifies (issue(), gate reopen, space_freed()).
+  awaiting_space_ = refused;
+  if (retry != sim::kTimeNever) {
+    wake_at(retry);
   }
   return false;
 }
 
-void Interconnect::attribution_pass(sim::TimePs now, int first_granted) {
+void Interconnect::space_freed() {
+  if (awaiting_space_) {
+    wake_as_polled();
+  }
+}
+
+bool Interconnect::attribution_pass(sim::TimePs now, int first_granted) {
+  bool charged = false;
   for (std::size_t i = 0; i < ports_.size(); ++i) {
     MasterPort& p = *ports_[i];
     telemetry::WaitState& w = p.attr_wait();
     if (!w.open || w.last > now) {
       continue;  // no head, or the head is not visible yet
     }
+    charged = true;
     const auto victim = static_cast<MasterId>(i);
     switch (p.grant_block_reason(now)) {
       case MasterPort::BlockReason::kEmpty:
@@ -158,6 +197,7 @@ void Interconnect::attribution_pass(sim::TimePs now, int first_granted) {
       }
     }
   }
+  return charged;
 }
 
 void Interconnect::line_done(const LineRequest& line, sim::TimePs now) {

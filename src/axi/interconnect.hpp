@@ -7,6 +7,14 @@
 /// path: when the controller reports the last line of a burst done, the
 /// interconnect delivers the completion to the issuing port after that
 /// port's response latency.
+///
+/// The crossbar sleeps through cycles in which no port can be granted: it
+/// wakes itself for the first head turning visible or port rate limiter
+/// freeing up, and relies on issue(), signalling gates
+/// (TxnGate::signals_reopen) and a signalling slave (SlaveIf::signals_space)
+/// for every other change. It keeps ticking while a blocker that does not
+/// signal holds a port, while a kTransaction burst holds the fabric, and
+/// while attribution charges a waiting head.
 #pragma once
 
 #include <functional>
@@ -31,6 +39,11 @@ class SlaveIf {
                                         sim::TimePs now) const = 0;
   /// Enqueues the line. Pre: can_accept() returned true this cycle.
   virtual void accept(LineRequest line, sim::TimePs now) = 0;
+  /// True when can_accept() turns true only inside calls that then invoke
+  /// ResponseSink::space_freed() on the crossbar, which may then sleep
+  /// through a refusal. Default false: a refused line is retried every
+  /// crossbar cycle.
+  [[nodiscard]] virtual bool signals_space() const { return false; }
 };
 
 /// At what granularity the crossbar switches between masters.
@@ -62,7 +75,10 @@ class Interconnect final : public sim::Clocked, public ResponseSink {
   MasterPort& add_master(MasterPortConfig cfg);
 
   /// Wires the downstream slave (exactly one; required before running).
-  void set_slave(SlaveIf& slave) { slave_ = &slave; }
+  void set_slave(SlaveIf& slave) {
+    slave_ = &slave;
+    slave_signals_ = slave.signals_space();
+  }
 
   /// Replaces the arbitration policy (default: round robin).
   void set_arbiter(std::unique_ptr<Arbiter> arb);
@@ -107,12 +123,15 @@ class Interconnect final : public sim::Clocked, public ResponseSink {
 
   bool tick(sim::Cycles cycle) override;
   void line_done(const LineRequest& line, sim::TimePs now) override;
+  /// Wakes the crossbar if it sleeps on a line the slave refused.
+  void space_freed() override;
 
  private:
   /// Per-cycle blame pass: charges every port whose head waited this
   /// cycle. \p first_granted is the first master granted this tick (-1
   /// when none) — the one that actually beat the waiters to the fabric.
-  void attribution_pass(sim::TimePs now, int first_granted);
+  /// Returns true when some head was waiting (and was charged).
+  bool attribution_pass(sim::TimePs now, int first_granted);
 
   InterconnectConfig cfg_;
   std::vector<std::unique_ptr<MasterPort>> ports_;
@@ -120,6 +139,9 @@ class Interconnect final : public sim::Clocked, public ResponseSink {
   sim::ObjectPool<Transaction> txn_pool_;
   std::uint32_t prof_tag_deliver_ = 0;  ///< host-profiler tag, axi.deliver
   SlaveIf* slave_ = nullptr;
+  bool slave_signals_ = false;  ///< slave_->signals_space()
+  /// Asleep with a grantable line the slave refused: space_freed() wakes.
+  bool awaiting_space_ = false;
   TxnId txn_seq_ = 0;
   std::vector<bool> eligible_;  ///< scratch, sized to master count
   int locked_master_ = -1;      ///< kTransaction: burst in progress

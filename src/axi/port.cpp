@@ -22,6 +22,24 @@ MasterPort::MasterPort(Interconnect& owner, MasterId id, MasterPortConfig cfg)
                "MasterPort '" + cfg_.name + "': outstanding limits must be > 0");
 }
 
+void TxnGate::reopened() const {
+  for (MasterPort* port : ports_) {
+    port->gate_reopened();
+  }
+}
+
+void MasterPort::add_gate(TxnGate& gate) {
+  gates_.push_back(&gate);
+  gates_signal_ = gates_signal_ && gate.signals_reopen();
+  gate.ports_.push_back(this);
+}
+
+void MasterPort::gate_reopened() {
+  if (!queue_.empty()) {
+    owner_.wake_as_polled();
+  }
+}
+
 bool MasterPort::can_issue(Dir dir) const {
   if (queue_.full()) {
     return false;
@@ -57,7 +75,6 @@ bool MasterPort::issue(Dir dir, Addr addr, std::uint32_t bytes,
       static_cast<std::uint32_t>((last_line - first_line) / cfg_.line_bytes + 1);
   txn->lines_left = txn->lines_total;
 
-  ++in_flight_;
   if (dir == Dir::kRead) {
     ++out_reads_;
   } else {
@@ -90,29 +107,26 @@ std::uint32_t MasterPort::head_line_bytes(const Transaction& txn) const {
   return static_cast<std::uint32_t>(std::min<Addr>(line_end, burst_end) - cur);
 }
 
-bool MasterPort::has_grantable_line(sim::TimePs now) const {
-  return grant_block_reason(now) == BlockReason::kNone;
-}
-
 MasterPort::BlockReason MasterPort::grant_block_reason(
-    sim::TimePs now) const {
+    sim::TimePs now, sim::TimePs& retry) const {
   if (!queue_.can_pop(now)) {
+    retry = std::min(retry, queue_.head_ready_at());
     return BlockReason::kEmpty;
   }
   if (data_free_at_ > now) {
+    retry = std::min(retry, data_free_at_);
     return BlockReason::kRateLimit;
   }
   const LineRequest line = peek_line(now);
   for (const auto* gate : gates_) {
     if (!gate->allow(line, now)) {
+      if (!gates_signal_) {
+        retry = now;
+      }
       return BlockReason::kGate;
     }
   }
   return BlockReason::kNone;
-}
-
-bool MasterPort::has_pending_work() const {
-  return !queue_.empty() || in_flight_ != 0;
 }
 
 LineRequest MasterPort::peek_line(sim::TimePs now) const {
@@ -217,8 +231,6 @@ void MasterPort::complete_txn(Transaction& txn, sim::TimePs now) {
   // Copy the transaction out before recycling so the callback sees stable
   // data (the pool may hand the slot to a transaction issued from fn).
   const Transaction snapshot = txn;
-  FGQOS_ASSERT(in_flight_ > 0, "complete_txn without in-flight transaction");
-  --in_flight_;
   owner_.txn_pool().destroy(&txn);
   if (fn) {
     fn(snapshot);

@@ -23,11 +23,18 @@
 namespace fgqos::axi {
 
 class Interconnect;
+class MasterPort;
 
 /// Combinational gate consulted before each line grant. Implementations
 /// must keep allow() free of side effects; state updates happen in
 /// on_grant(), which is called in the same cycle as the grant (this is the
 /// "tightly-coupled" property).
+///
+/// Reopen contract: a gate whose signals_reopen() is true promises that
+/// allow() turns true only inside calls that end with reopened(), which
+/// wakes every port the gate was attached to. The crossbar may then sleep
+/// through a port this gate blocks. A gate that keeps the default (false)
+/// is re-evaluated on every crossbar cycle while it blocks a port.
 class TxnGate {
  public:
   virtual ~TxnGate() = default;
@@ -36,6 +43,16 @@ class TxnGate {
                                    sim::TimePs now) const = 0;
   /// A line was granted at \p now; account for it.
   virtual void on_grant(const LineRequest& line, sim::TimePs now) = 0;
+  /// True when this gate keeps the reopen contract above.
+  [[nodiscard]] virtual bool signals_reopen() const { return false; }
+
+ protected:
+  /// Tells every gated port that allow() may have turned true.
+  void reopened() const;
+
+ private:
+  friend class MasterPort;  // add_gate() subscribes the port
+  std::vector<MasterPort*> ports_;
 };
 
 /// Passive observer of port activity (monitors, tracers).
@@ -104,8 +121,9 @@ class MasterPort {
   /// Sets the callback invoked when any transaction of this port completes.
   void set_completion_handler(CompletionFn fn) { on_complete_ = std::move(fn); }
 
-  /// Attaches a gate (evaluated in attachment order; all must allow).
-  void add_gate(TxnGate& gate) { gates_.push_back(&gate); }
+  /// Attaches a gate (evaluated in attachment order; all must allow) and
+  /// subscribes this port to its reopen signal.
+  void add_gate(TxnGate& gate);
   /// Attaches an observer.
   void add_observer(TxnObserver& obs) { observers_.push_back(&obs); }
 
@@ -116,21 +134,30 @@ class MasterPort {
 
   // --- Interconnect-facing interface -------------------------------------
 
-  /// True when the head line exists, is visible, passes the port rate
-  /// limit and all gates.
-  [[nodiscard]] bool has_grantable_line(sim::TimePs now) const;
-
-  /// Why the head line cannot be granted right now.
+  /// Why the head line cannot be granted right now (kNone: it exists, is
+  /// visible, passes the port rate limit and all gates).
   enum class BlockReason : std::uint8_t {
     kNone,       ///< grantable
     kEmpty,      ///< no visible request queued
     kRateLimit,  ///< port data path busy (transient, holds a burst lock)
     kGate,       ///< a QoS gate refuses (possibly for a long time)
   };
-  [[nodiscard]] BlockReason grant_block_reason(sim::TimePs now) const;
+  [[nodiscard]] BlockReason grant_block_reason(sim::TimePs now) const {
+    sim::TimePs ignored = 0;
+    return grant_block_reason(now, ignored);
+  }
 
-  /// True when requests are queued, granted-in-progress, or in flight.
-  [[nodiscard]] bool has_pending_work() const;
+  /// As above; a blocked port also lowers \p retry to the earliest time
+  /// its block can lift without it notifying the crossbar: the head
+  /// turning visible or the rate limiter freeing up. It leaves \p retry
+  /// alone when it will notify (empty queue: issue(); every gate signals
+  /// reopen) and lowers it to \p now when it must be polled every cycle.
+  [[nodiscard]] BlockReason grant_block_reason(sim::TimePs now,
+                                               sim::TimePs& retry) const;
+
+  /// Reopen signal of an attached gate: wakes the crossbar when a request
+  /// is queued.
+  void gate_reopened();
 
   /// The line that would be granted next. Pre: head visible.
   [[nodiscard]] LineRequest peek_line(sim::TimePs now) const;
@@ -168,8 +195,8 @@ class MasterPort {
   MasterId id_;
   MasterPortConfig cfg_;
   TimedFifo<Transaction*> queue_;
-  std::size_t in_flight_ = 0;  ///< issued, not yet completed (pool-owned)
   std::vector<TxnGate*> gates_;
+  bool gates_signal_ = true;  ///< every attached gate signals reopen
   std::vector<TxnObserver*> observers_;
   CompletionFn on_complete_;
   std::size_t out_reads_ = 0;

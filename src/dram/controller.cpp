@@ -154,7 +154,13 @@ void Controller::accept(axi::LineRequest line, sim::TimePs now) {
   ++q.size;
   // Later arrivals never become visible earlier, so this is exact.
   next_decision_ = std::min(next_decision_, s.visible_cycle);
-  wake_at(visible_at);
+  if (napping_) {
+    // The new queue size may flip the drain and served-direction flags,
+    // which the next tick evaluates.
+    wake_as_polled();
+  } else {
+    wake_at(visible_at);
+  }
 }
 
 void Controller::do_refresh(Cycle c) {
@@ -186,6 +192,9 @@ void Controller::set_refresh_interval_divisor(std::uint32_t divisor) {
       std::max<Cycle>(1, cfg_.timing.tREFI / refresh_divisor_);
   const Cycle c = clock().edge_index_at_or_after(simulator().now());
   next_refresh_ = std::min(next_refresh_, c + interval);
+  if (napping_) {
+    wake_at(clock().edge_time(next_refresh_));
+  }
 }
 
 void Controller::note_act(Cycle c, std::uint32_t group) {
@@ -343,6 +352,7 @@ QueueEntry Controller::take(std::uint32_t idx) {
     }
   }
   free_slots_.push_back(idx);
+  sink_->space_freed();
   return std::move(s.e);
 }
 
@@ -377,6 +387,7 @@ Controller::Cycle Controller::next_visible_cycle() const {
 }
 
 bool Controller::tick(sim::Cycles cycle) {
+  napping_ = false;
   const sim::TimePs now = simulator().now();
   const Cycle c = cycle;
   // Scheduling proper lives in schedule(); splitting it out gives the
@@ -436,10 +447,31 @@ bool Controller::schedule(Cycle c, sim::TimePs now, bool& serve_reads,
     }
   }
 
-  // Sleep only when both queues are completely empty (invisible entries
-  // still need future ticks; wake_at in accept() covers new arrivals, and
-  // we remain awake while anything is queued).
-  return rq.size != 0 || wq.size != 0;
+  if (rq.size == 0 && wq.size == 0) {
+    return false;  // accept() wakes the controller for the next arrival
+  }
+  if (attr_ != nullptr) {
+    return true;  // the attribution pass charges every waiting cycle
+  }
+  // Nap: until the first cycle at which a command can become legal, the
+  // refresh falls due or a queue head ages into the scan, every tick would
+  // return right here. accept() and set_refresh_interval_divisor() cut the
+  // nap short.
+  Cycle wake = std::min(next_decision_, next_refresh_);
+  for (const Queue& q : queues_) {
+    if (q.head != kNil) {
+      const Cycle aged = slots_[q.head].age_origin + cfg_.starvation_cycles;
+      if (aged > c) {
+        wake = std::min(wake, aged);
+      }
+    }
+  }
+  if (wake <= c + 1) {
+    return true;
+  }
+  napping_ = true;
+  wake_at(clock().edge_time(wake));
+  return false;
 }
 
 bool Controller::decide(Cycle c, sim::TimePs now, bool serve_reads,

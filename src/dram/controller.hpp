@@ -146,6 +146,8 @@ class Controller final : public sim::Clocked, public axi::SlaveIf {
   [[nodiscard]] bool can_accept(const axi::LineRequest& line,
                                 sim::TimePs now) const override;
   void accept(axi::LineRequest line, sim::TimePs now) override;
+  /// Every freed queue slot is reported through ResponseSink::space_freed().
+  [[nodiscard]] bool signals_space() const override { return true; }
 
   // Clocked
   bool tick(sim::Cycles cycle) override;
@@ -208,8 +210,10 @@ class Controller final : public sim::Clocked, public axi::SlaveIf {
   /// Visibility cycle of the oldest entry not yet indexed (kNever if none).
   [[nodiscard]] Cycle next_visible_cycle() const;
   /// One scheduling cycle: refresh, drain/aging flags, then decide()
-  /// unless the next-decision gate is closed. Reports the scan-direction decision through \p serve_reads /
-  /// \p serve_writes so the attribution pass can classify drain exclusion.
+  /// unless the next-decision gate is closed; then naps until the next
+  /// cycle that can act. Reports the scan-direction decision through
+  /// \p serve_reads / \p serve_writes so the attribution pass can classify
+  /// drain exclusion.
   bool schedule(Cycle c, sim::TimePs now, bool& serve_reads,
                 bool& serve_writes);
   /// Issues at most one command (CAS first, else PRE/ACT) chosen from the
@@ -241,6 +245,9 @@ class Controller final : public sim::Clocked, public axi::SlaveIf {
   Cycle next_decision_ = 0;
   bool gate_serve_reads_ = true;
   bool gate_serve_writes_ = true;
+  /// Asleep with work queued (the nap in schedule()); never set while
+  /// attribution is on.
+  bool napping_ = false;
 
   // Global channel state (absolute controller cycles).
   Cycle next_act_any_ = 0;                 ///< tRRD_S

@@ -130,6 +130,7 @@ void Regulator::apply_replenish() {
     b.credit.replenish();
   }
   trace_tokens(now);
+  reopened();
 }
 
 void Regulator::close_throttle(Bucket& b, sim::TimePs now) {
@@ -160,6 +161,7 @@ void Regulator::set_enabled(bool enabled) {
       reevaluate_exhaustion(b);
     }
   }
+  reopened();
 }
 
 void Regulator::set_trace(telemetry::TraceWriter* writer) {
@@ -206,6 +208,7 @@ void Regulator::set_budget(std::uint64_t budget_bytes) {
   buckets_[0].credit.set_budget(budget_bytes);
   cfg_.budget_bytes = budget_bytes;
   reevaluate_exhaustion(buckets_[0]);
+  reopened();
 }
 
 void Regulator::set_bank_budget(std::uint32_t bank,
@@ -222,6 +225,7 @@ void Regulator::set_bank_budget(std::uint32_t bank,
   b.limited = budget_bytes != 0;
   cfg_.bank_budget_bytes[bank] = budget_bytes;
   reevaluate_exhaustion(b);
+  reopened();
 }
 
 void Regulator::set_window(sim::TimePs window_ps) {
@@ -254,6 +258,7 @@ void Regulator::restart_schedule() {
   for (Bucket& b : buckets_) {
     reevaluate_exhaustion(b);
   }
+  reopened();
 }
 
 void Regulator::reevaluate_exhaustion(Bucket& b) {

@@ -181,6 +181,10 @@ class Regulator final : public axi::TxnGate {
   [[nodiscard]] bool allow(const axi::LineRequest& line,
                            sim::TimePs now) const override;
   void on_grant(const axi::LineRequest& line, sim::TimePs now) override;
+  /// allow() reads only enabled, limited and can_spend(); they can turn
+  /// it true only in a replenish, set_enabled(), set_budget(),
+  /// set_bank_budget() or a schedule restart, and each of those signals.
+  [[nodiscard]] bool signals_reopen() const override { return true; }
 
  private:
   /// One token bucket and its throttle bookkeeping.

@@ -43,6 +43,12 @@ void Clocked::wake_at(TimePs at) {
 
 void Clocked::wake() { wake_at(sim_.now() + 1); }
 
+void Clocked::wake_as_polled() {
+  const TimePs now = sim_.now();
+  const bool on_edge = clk_->next_edge_at_or_after(now) == now;
+  wake_at(on_edge && sim_.tick_dispatched(now, order_) ? now + 1 : now);
+}
+
 void Simulator::register_clocked(Clocked& c) {
   c.order_ = next_order_++;
   // Components start awake at their first edge at or after the current
@@ -129,6 +135,8 @@ void Simulator::run_loop(TimePs t_end) {
     }
     ++tick_count_;
     ++c.ticks_fired_;
+    fired_when_ = e.when;
+    fired_order_ = e.order;
     c.has_ticked_ = true;
     const Cycles cycle = c.next_cycle_;
     c.last_cycle_ = cycle;
@@ -158,8 +166,13 @@ void Simulator::run_loop(TimePs t_end) {
       c_prev = cy;
     }
   }
-  if (!stop_requested_ && now_ < t_end) {
-    now_ = t_end;
+  if (!stop_requested_) {
+    if (now_ < t_end) {
+      now_ = t_end;
+    }
+    // Every edge up to t_end would have ticked.
+    fired_when_ = now_;
+    fired_order_ = ~std::uint64_t{0};
   }
   if constexpr (kProfile) {
     if (run_len > 0) {

@@ -6,11 +6,14 @@
 ///    interrupts, window boundaries), and
 ///  * per-cycle ticks of Clocked components.
 ///
-/// Clocked components may sleep when idle (tick() returns false) and are
-/// woken by whoever hands them work (wake_at). The contract that makes this
-/// safe is: a component may only sleep when it has nothing pending, and
-/// every producer of pending work wakes its consumer with the time at which
-/// the work becomes visible.
+/// Clocked components may sleep (tick() returns false) and are woken by
+/// whoever hands them work (wake_at). The contract that makes this safe
+/// is: a component may sleep, even with work pending, once it has
+/// scheduled the first edge at which its tick can act, and every producer
+/// that can move that edge earlier wakes it — with the time at which new
+/// work becomes visible, or with wake_as_polled() for a change its tick
+/// would read on the current edge. A component keeping this contract is
+/// indistinguishable from one ticked every cycle.
 ///
 /// Determinism: at equal timestamps, events fire before ticks (events in
 /// schedule order, ticks in component-registration order). Two runs with
@@ -62,6 +65,15 @@ class Clocked {
 
   /// Wakes the component at the next edge strictly after the current time.
   void wake();
+
+  /// Wakes the component at the edge a component ticking every cycle
+  /// would tick next: the edge at the current time when its turn there
+  /// (registration order) has not been dispatched yet, else the next one.
+  /// For a producer changing state the consumer's tick reads, this makes
+  /// a sleeping consumer observe the change on the same edge as a polling
+  /// one, whether the producer is an event, an earlier- or later-ordered
+  /// tick, or host code between run_until() calls.
+  void wake_as_polled();
 
   [[nodiscard]] const ClockDomain& clock() const { return *clk_; }
   [[nodiscard]] const std::string& name() const { return name_; }
@@ -211,6 +223,12 @@ class Simulator {
 
   void register_clocked(Clocked& c);
   void push_tick(Clocked& c);
+  /// True when a tick of registration order \p order at edge time \p when
+  /// lies at or before the dispatch position (see fired_when_).
+  [[nodiscard]] bool tick_dispatched(TimePs when, std::uint64_t order) const {
+    return fired_when_ != kTimeNever &&
+           (when < fired_when_ || (when == fired_when_ && order <= fired_order_));
+  }
 
   template <bool kProfile>
   void run_loop(TimePs t_end);
@@ -240,6 +258,12 @@ class Simulator {
   bool stop_requested_ = false;
   ProfTable* prof_ = nullptr;  ///< null = profiling off (the common case)
   std::function<std::uint32_t(std::string_view)> prof_register_;
+  /// Dispatch position: (time, registration order) of the last tick
+  /// dispatched. Ticks of one timestamp run in registration order, so
+  /// every tick at or before it has run; after a completed run_until(t),
+  /// every edge at or before t has. kTimeNever before the first tick.
+  TimePs fired_when_ = kTimeNever;
+  std::uint64_t fired_order_ = 0;
 };
 
 }  // namespace fgqos::sim

@@ -655,6 +655,25 @@ telemetry::MetricsRegistry& Soc::collect_metrics() {
   // Kernel self-profiling.
   set_counter("sim.events_dispatched", sim_.events_dispatched());
   set_counter("sim.ticks", sim_.tick_count());
+  // Awake ticks per clocked component: which components a run keeps
+  // awake, and so where its host time goes.
+  const auto set_ticks = [&](const std::string& name, const sim::Clocked& c) {
+    set_counter("sim.clocked." + name + ".ticks", c.ticks_fired());
+  };
+  set_ticks(xbar_->name(), *xbar_);
+  for (std::size_t ch = 0; ch < drams_.size(); ++ch) {
+    set_ticks("dram.ch" + std::to_string(ch), *drams_[ch]);
+  }
+  set_ticks(cluster_->name(), *cluster_);
+  for (std::size_t c = 0; c < cluster_->core_count(); ++c) {
+    set_ticks(cluster_->core(c).name(), cluster_->core(c));
+  }
+  for (const auto& tg : traffic_gens_) {
+    set_ticks(tg->name(), *tg);
+  }
+  for (const auto& tenant : serving_) {
+    set_ticks(tenant->name(), *tenant);
+  }
   set_gauge("sim.max_event_queue",
             static_cast<double>(sim_.max_event_queue()));
   set_counter("sim.wall_ns", sim_.wall_ns());

@@ -1,17 +1,22 @@
 // Interference-attribution tests: the blame-matrix engine (telescoping
 // charges, sentinel folding, window rollover, exports, dominant-cell
 // lookup, metrics publication), full-platform conservation of measured
-// vs charged stall, scheduling invariance with attribution on, sweep
+// vs charged stall, scheduling invariance with attribution on (which also
+// checks sleeping components against polling ones), sweep
 // blame-CSV determinism across worker counts, and the SLA watchdog's
 // hysteresis and reporting.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "exec/scenario_runner.hpp"
+#include "fault/fault_plan.hpp"
 #include "qos/sla_watchdog.hpp"
 #include "soc/soc.hpp"
 #include "telemetry/attribution.hpp"
@@ -231,39 +236,106 @@ TEST(AttributionSoc, WriteAggressorsDominateVictimBlame) {
 }
 
 // Attribution is pure observation: enabling it must not move a single
-// event. Same scenario with and without the engine → identical end time,
-// identical traffic.
-TEST(AttributionSoc, EnablingAttributionDoesNotPerturbScheduling) {
-  const auto run = [](bool blame) {
+// event. With attribution on the crossbar and the DRAM controller tick
+// every cycle a head waits; with it off they sleep through cycles in which
+// nothing can happen. So this is also the sleep-vs-poll oracle: every
+// collect_stats() value must match except the kernel's own counters
+// (sim.*) and the attribution outputs (attr.*, telemetry.*).
+struct PerturbCase {
+  const char* name;
+  bool regulate;
+  const char* faults;  ///< fault-plan JSON, nullptr for none
+  wl::Pattern pattern = wl::Pattern::kSeqRead;  ///< aggressors' pattern
+  std::uint64_t iterations = 2;  ///< pointer-chase iterations (run length)
+  std::size_t aggressors = 2;    ///< one per accelerator port
+};
+
+std::ostream& operator<<(std::ostream& os, const PerturbCase& c) {
+  return os << c.name;
+}
+
+class AttributionSocScenario
+    : public ::testing::TestWithParam<PerturbCase> {};
+
+TEST_P(AttributionSocScenario, EnablingAttributionDoesNotPerturbScheduling) {
+  const PerturbCase& pc = GetParam();
+  const auto run = [&pc](bool blame) {
     soc::SocConfig cfg;
     soc::Soc chip(cfg);
     cpu::CoreConfig cc;
     cc.name = "critical";
-    cc.max_iterations = 2;
-    wl::PointerChaseConfig pc;
-    pc.accesses_per_iteration = 256;
-    chip.add_core(cc, wl::make_pointer_chase(pc));
-    for (std::size_t i = 0; i < 2; ++i) {
+    cc.max_iterations = pc.iterations;
+    wl::PointerChaseConfig chase;
+    chase.accesses_per_iteration = 256;
+    chip.add_core(cc, wl::make_pointer_chase(chase));
+    for (std::size_t i = 0; i < pc.aggressors; ++i) {
       wl::TrafficGenConfig tg;
       tg.name = "agg" + std::to_string(i);
       tg.base = 0x8000'0000 + (static_cast<axi::Addr>(i) << 26);
       tg.seed = 7 + i;
+      tg.pattern = pc.pattern;
       chip.add_traffic_gen(i, tg);
     }
-    qos::Regulator& r = *chip.qos_block(1).regulator;
-    r.set_rate(200e6);
-    r.set_enabled(true);
+    if (pc.regulate) {
+      qos::Regulator& r = *chip.qos_block(1).regulator;
+      r.set_rate(200e6);
+      r.set_enabled(true);
+    }
+    if (pc.faults != nullptr) {
+      chip.arm_faults(fault::FaultPlan::from_json(pc.faults), 1);
+    }
     if (blame) {
       chip.enable_attribution(10 * sim::kPsPerUs);
     }
     EXPECT_TRUE(chip.run_until_cores_finished(500 * sim::kPsPerMs));
-    return std::tuple(chip.now(),
-                      chip.cpu_port().stats().bytes_granted.value(),
-                      chip.accel_port(0).stats().bytes_granted.value(),
-                      chip.accel_port(1).stats().bytes_granted.value());
+    sim::StatsRegistry stats;
+    chip.collect_stats(stats);
+    std::map<std::string, double> kept;
+    for (const auto& [name, value] : stats.all()) {
+      if (name.rfind("sim.", 0) != 0 && name.rfind("attr.", 0) != 0 &&
+          name.rfind("telemetry.", 0) != 0) {
+        kept.emplace(name, value);
+      }
+    }
+    return std::pair(chip.now(), kept);
   };
-  EXPECT_EQ(run(false), run(true));
+  const auto [end_off, off] = run(false);
+  const auto [end_on, on] = run(true);
+  EXPECT_EQ(end_off, end_on);
+  if (pc.faults != nullptr) {
+    EXPECT_GT(end_off, 1200 * sim::kPsPerUs);  // past every fault window
+  }
+  EXPECT_GT(off.size(), 50u);
+  EXPECT_EQ(off, on);
 }
+
+// The faults mirror ci/fault_smoke.json: SLVERR responses, a periodic
+// port stall, dropped replenish IRQs, a frozen monitor and a refresh
+// storm, all inside the run.
+INSTANTIATE_TEST_SUITE_P(
+    Scenarios, AttributionSocScenario,
+    ::testing::Values(
+        PerturbCase{"HwRegulation", true, nullptr},
+        PerturbCase{"Unregulated", false, nullptr},
+        // Four write floods keep the DRAM write queue deep.
+        PerturbCase{"UnregulatedWrites", false, nullptr,
+                    wl::Pattern::kSeqWrite, 1, 4},
+        PerturbCase{"HwRegulationWithFaults", true, R"({
+          "seed": 7,
+          "faults": [
+            {"kind": "axi_slverr", "target": 1, "prob": 0.02},
+            {"kind": "port_stall", "target": 2, "period_us": 200,
+             "duration_us": 10},
+            {"kind": "reg_irq_drop", "target": 1, "prob": 0.25,
+             "start_us": 100, "end_us": 1200},
+            {"kind": "monitor_freeze", "target": 3, "prob": 1,
+             "start_us": 400, "end_us": 900},
+            {"kind": "refresh_storm", "factor": 8, "start_us": 600}
+          ]
+        })", wl::Pattern::kSeqRead, 36}),
+    [](const ::testing::TestParamInfo<PerturbCase>& p) {
+      return p.param.name;
+    });
 
 // The sweep merges pre-rendered blame rows in submission order, so the
 // combined CSV must be byte-identical whatever the worker count.

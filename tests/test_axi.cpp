@@ -1,13 +1,16 @@
 // Unit tests for the AXI layer: timed FIFO, address map, arbiters, ports
-// and the interconnect against a scripted slave.
+// and the interconnect against a scripted slave, including the crossbar's
+// sleep through cycles in which nothing can be granted.
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "axi/address_map.hpp"
 #include "axi/arbiter.hpp"
 #include "axi/interconnect.hpp"
 #include "axi/timed_fifo.hpp"
+#include "dram/controller.hpp"
 #include "util/config_error.hpp"
 
 namespace fgqos::axi {
@@ -143,12 +146,19 @@ TEST(WeightedRRArbiter, RejectsZeroWeight) {
 // Interconnect against a scripted slave
 // --------------------------------------------------------------------------
 
-/// Slave that services every line after a fixed delay.
+/// Slave that services every line after a fixed delay. With \p signals it
+/// keeps the SlaveIf::signals_space() contract, so the crossbar may sleep
+/// through its refusals.
 class FixedLatencySlave final : public SlaveIf {
  public:
   FixedLatencySlave(sim::Simulator& sim, ResponseSink& sink,
-                    sim::TimePs latency, std::size_t capacity)
-      : sim_(sim), sink_(&sink), latency_(latency), capacity_(capacity) {}
+                    sim::TimePs latency, std::size_t capacity,
+                    bool signals = false)
+      : sim_(sim),
+        sink_(&sink),
+        latency_(latency),
+        capacity_(capacity),
+        signals_(signals) {}
 
   std::size_t accepted = 0;
 
@@ -161,15 +171,20 @@ class FixedLatencySlave final : public SlaveIf {
     ++in_flight_;
     sim_.schedule_at(now + latency_, [this, line]() {
       --in_flight_;
+      if (signals_) {
+        sink_->space_freed();
+      }
       sink_->line_done(line, sim_.now());
     });
   }
+  [[nodiscard]] bool signals_space() const override { return signals_; }
 
  private:
   sim::Simulator& sim_;
   ResponseSink* sink_;
   sim::TimePs latency_;
   std::size_t capacity_;
+  bool signals_;
   std::size_t in_flight_ = 0;
 };
 
@@ -335,6 +350,123 @@ TEST(Interconnect, PortBandwidthLimitsThroughput) {
       port.stats().bytes_granted.value(), horizon);
   EXPECT_LT(bps, 1.1e9);
   EXPECT_GT(bps, 0.8e9);
+}
+
+// --------------------------------------------------------------------------
+// Crossbar sleep: the crossbar skips cycles in which no port can be
+// granted, and every skipped cycle must be one a polling crossbar would
+// have wasted.
+// --------------------------------------------------------------------------
+
+/// Records the time of every grant on a port.
+struct GrantTimes final : TxnObserver {
+  std::vector<sim::TimePs> at;
+  void on_issue(const Transaction&, sim::TimePs) override {}
+  void on_grant(const LineRequest&, sim::TimePs now) override {
+    at.push_back(now);
+  }
+  void on_complete(const Transaction&, sim::TimePs) override {}
+};
+
+TEST(InterconnectSleep, NoTicksWhileOnlyResponsesInFlight) {
+  sim::Simulator sim;
+  sim::ClockDomain xclk = sim::ClockDomain::from_mhz("x", 600);
+  dram::ControllerConfig dc;
+  sim::ClockDomain dclk{"d", dc.timing.period_ps()};
+  Interconnect xbar{sim, xclk, InterconnectConfig{}};
+  MasterPort& port = xbar.add_master(MasterPortConfig{});
+  dram::Controller ctrl{sim, dclk, dc, xbar};
+  xbar.set_slave(ctrl);
+  int done = 0;
+  port.set_completion_handler([&](const Transaction&) { ++done; });
+  ASSERT_TRUE(port.issue(Dir::kRead, 0x1000, 64));
+  while (port.stats().lines_granted.value() == 0) {
+    sim.run_for(xclk.period_ps());
+  }
+  const std::uint64_t xbar_ticks = xbar.ticks_fired();
+  const std::uint64_t dram_ticks = ctrl.ticks_fired();
+  sim.run_for(sim::kPsPerUs);
+  EXPECT_EQ(done, 1);
+  EXPECT_EQ(xbar.ticks_fired(), xbar_ticks);  // asleep the whole time
+  EXPECT_GT(ctrl.ticks_fired(), dram_ticks);  // while DRAM served the line
+}
+
+TEST(InterconnectSleep, NonSignallingGateIsPolled) {
+  XbarFixture f;
+  MasterPort& port = f.xbar.add_master(MasterPortConfig{});
+  FixedLatencySlave slave(f.sim, f.xbar, 1000, 64);
+  f.xbar.set_slave(slave);
+  ToggleGate gate;
+  port.add_gate(gate);
+  GrantTimes grants;
+  port.add_observer(grants);
+  port.set_completion_handler([](const Transaction&) {});
+  port.issue(Dir::kRead, 0x0, 64);
+  f.sim.schedule_at(50'500, [&gate]() { gate.blocked = false; });
+  f.sim.run_for(40'000);
+  const std::uint64_t ticks = f.xbar.ticks_fired();
+  f.sim.run_for(10'000);
+  // The gate does not signal its reopen, so the blocked port keeps the
+  // crossbar ticking every cycle...
+  EXPECT_EQ(f.xbar.ticks_fired(), ticks + 10);
+  f.sim.run_for(50'000);
+  // ...and the grant lands on the first edge after the flip.
+  ASSERT_EQ(grants.at.size(), 1u);
+  EXPECT_EQ(grants.at[0], 51'000u);
+}
+
+TEST(InterconnectSleep, InjectStallResumesAtDataFree) {
+  XbarFixture f;
+  MasterPortConfig pc;
+  pc.request_latency_ps = 1000;
+  MasterPort& port = f.xbar.add_master(pc);
+  FixedLatencySlave slave(f.sim, f.xbar, 1000, 64);
+  f.xbar.set_slave(slave);
+  GrantTimes grants;
+  port.add_observer(grants);
+  port.set_completion_handler([](const Transaction&) {});
+  port.issue(Dir::kRead, 0x0, 64);
+  port.inject_stall(20'500);  // data path busy until 20.5 ns
+  f.sim.run_for(100'000);
+  ASSERT_EQ(grants.at.size(), 1u);
+  EXPECT_EQ(grants.at[0], 21'000u);  // first edge at or after the stall
+  // Edges 0 and 1 ns (head still invisible), then asleep until the stall
+  // lifts: the grant tick and nothing after it.
+  EXPECT_EQ(f.xbar.ticks_fired(), 3u);
+}
+
+/// Runs two always-busy ports against a one-slot slave and returns the
+/// grant times of both plus the crossbar's tick count.
+std::pair<std::vector<sim::TimePs>, std::uint64_t> run_backpressured(
+    bool slave_signals) {
+  XbarFixture f;
+  MasterPortConfig pc;
+  pc.port_bandwidth_bps = 1e12;
+  MasterPort& a = f.xbar.add_master(pc);
+  MasterPort& b = f.xbar.add_master(pc);
+  FixedLatencySlave slave(f.sim, f.xbar, 30'300, 1, slave_signals);
+  f.xbar.set_slave(slave);
+  GrantTimes grants;
+  a.add_observer(grants);
+  b.add_observer(grants);
+  a.set_completion_handler([&](const Transaction&) {
+    a.issue(Dir::kRead, 0x0, 64);
+  });
+  b.set_completion_handler([&](const Transaction&) {
+    b.issue(Dir::kRead, 0x1000, 64);
+  });
+  a.issue(Dir::kRead, 0x0, 64);
+  b.issue(Dir::kRead, 0x1000, 64);
+  f.sim.run_for(4'000'000);
+  return {grants.at, f.xbar.ticks_fired()};
+}
+
+TEST(InterconnectSleep, SignallingSlaveRefusalSleepsUntilSpaceFreed) {
+  const auto [polled, polled_ticks] = run_backpressured(false);
+  const auto [slept, slept_ticks] = run_backpressured(true);
+  ASSERT_GT(polled.size(), 100u);
+  EXPECT_EQ(slept, polled);  // same grant on the same edge, every time
+  EXPECT_LT(slept_ticks * 3, polled_ticks);
 }
 
 }  // namespace

@@ -1,13 +1,15 @@
 // Unit tests for the QoS module: token buckets, the tightly-coupled
 // monitor and regulator, register file, SoftMemguard, PREM/CMRI and the
 // lagged (loosely-coupled) regulator. Gates and observers are driven
-// directly with synthetic line requests; no interconnect involved.
+// directly with synthetic line requests, except for the last section,
+// which checks the regulator's reopen signal against a sleeping crossbar.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <optional>
 #include <vector>
 
+#include "axi/interconnect.hpp"
 #include "qos/bandwidth_monitor.hpp"
 #include "qos/cmri.hpp"
 #include "qos/prem_arbiter.hpp"
@@ -677,6 +679,136 @@ TEST(SoftMemguard, LoweringBudgetBelowUsageRaisesOverflow) {
   EXPECT_EQ(mg.master_stats(3).violation_bytes, 64u);
   EXPECT_EQ(mg.master_stats(3).throttled_ps, 100'000u - 11'000u);
 }
+
+// --------------------------------------------------------------------------
+// Regulator reopen signal against a sleeping crossbar
+// --------------------------------------------------------------------------
+
+/// Slave that accepts every line and finishes it 10 ns later.
+class DelaySlave final : public axi::SlaveIf {
+ public:
+  DelaySlave(sim::Simulator& sim, axi::ResponseSink& sink)
+      : sim_(sim), sink_(&sink) {}
+  [[nodiscard]] bool can_accept(const axi::LineRequest&,
+                                sim::TimePs) const override {
+    return true;
+  }
+  void accept(axi::LineRequest line, sim::TimePs now) override {
+    sim_.schedule_at(now + 10'000,
+                     [this, line]() { sink_->line_done(line, sim_.now()); });
+  }
+
+ private:
+  sim::Simulator& sim_;
+  axi::ResponseSink* sink_;
+};
+
+/// Records the time of every grant on a port.
+struct GrantTimes final : axi::TxnObserver {
+  std::vector<sim::TimePs> at;
+  void on_issue(const axi::Transaction&, sim::TimePs) override {}
+  void on_grant(const axi::LineRequest&, sim::TimePs now) override {
+    at.push_back(now);
+  }
+  void on_complete(const axi::Transaction&, sim::TimePs) override {}
+};
+
+/// One port behind a 600 MHz crossbar (1667 ps edges), gated by a
+/// 64 B / 100 ns regulator, with four single-line reads queued at t=0: the
+/// first is granted at 10002 ps (request latency 10 ns) and exhausts the
+/// window's budget.
+struct GatedXbar {
+  static RegulatorConfig reg_config() {
+    RegulatorConfig rc;
+    rc.budget_bytes = 64;
+    rc.window_ps = 100'000;
+    return rc;
+  }
+
+  sim::Simulator sim;
+  sim::ClockDomain clk = sim::ClockDomain::from_mhz("x", 600);
+  axi::Interconnect xbar{sim, clk, axi::InterconnectConfig{}};
+  axi::MasterPort& port = xbar.add_master(axi::MasterPortConfig{});
+  DelaySlave slave{sim, xbar};
+  Regulator reg{sim, reg_config()};
+  GrantTimes grants;
+
+  GatedXbar() {
+    xbar.set_slave(slave);
+    port.add_gate(reg);
+    port.add_observer(grants);
+    port.set_completion_handler([](const axi::Transaction&) {});
+    for (axi::Addr a = 0; a < 4 * 64; a += 64) {
+      port.issue(axi::Dir::kRead, a, 64);
+    }
+  }
+};
+
+TEST(RegulatorSleep, ExhaustedGateSleepsUntilReplenish) {
+  GatedXbar f;
+  // One more tick after the grant, once the port's rate limiter frees up
+  // (23335 ps), finds the next head blocked by the gate.
+  f.sim.run_until(30'000);
+  ASSERT_EQ(f.grants.at.size(), 1u);
+  EXPECT_EQ(f.grants.at[0], 10'002u);
+  EXPECT_TRUE(f.reg.exhausted());
+  const std::uint64_t ticks = f.xbar.ticks_fired();
+  EXPECT_EQ(ticks, 3u);
+  f.sim.run_until(99'999);
+  EXPECT_EQ(f.xbar.ticks_fired(), ticks);  // no crossbar tick while shut
+  f.sim.run_until(150'000);
+  ASSERT_EQ(f.grants.at.size(), 2u);
+  // First crossbar edge at or after the window boundary.
+  EXPECT_EQ(f.grants.at[1], f.clk.next_edge_at_or_after(100'000));
+  EXPECT_EQ(f.grants.at[1], 100'020u);
+}
+
+/// A host write that reopens the shut gate mid-window.
+enum class Reopen : std::uint8_t { kDisable, kRateAndRestart };
+
+void reopen(Regulator& reg, Reopen how) {
+  if (how == Reopen::kDisable) {
+    reg.set_enabled(false);
+  } else {
+    reg.set_rate(5e9);  // never refills on its own ...
+    reg.restart_window();  // ... the CTRL restart reloads the credit
+  }
+}
+
+class RegulatorSleepReopen : public ::testing::TestWithParam<Reopen> {};
+
+TEST_P(RegulatorSleepReopen, HostWriteBetweenRunsGrantsOnNextEdge) {
+  GatedXbar f;
+  const sim::TimePs edge = 30 * f.clk.period_ps();  // 50010 ps, an edge
+  f.sim.run_until(edge);
+  ASSERT_EQ(f.grants.at.size(), 1u);
+  reopen(f.reg, GetParam());
+  f.sim.run_until(edge + 3 * f.clk.period_ps());
+  ASSERT_GE(f.grants.at.size(), 2u);
+  // A crossbar ticking every cycle has already evaluated the edge at which
+  // the write landed; the grant comes on the edge after it.
+  EXPECT_EQ(f.grants.at[1], edge + f.clk.period_ps());
+}
+
+TEST_P(RegulatorSleepReopen, HostWriteEventGrantsOnSameEdge) {
+  GatedXbar f;
+  const sim::TimePs edge = 30 * f.clk.period_ps();
+  const Reopen how = GetParam();
+  f.sim.schedule_at(edge, [&f, how]() { reopen(f.reg, how); });
+  f.sim.run_until(edge + 3 * f.clk.period_ps());
+  ASSERT_GE(f.grants.at.size(), 2u);
+  // Events run before the ticks of their timestamp.
+  EXPECT_EQ(f.grants.at[1], edge);
+}
+
+INSTANTIATE_TEST_SUITE_P(Writes, RegulatorSleepReopen,
+                         ::testing::Values(Reopen::kDisable,
+                                           Reopen::kRateAndRestart),
+                         [](const ::testing::TestParamInfo<Reopen>& p) {
+                           return p.param == Reopen::kDisable
+                                      ? "SetEnabledFalse"
+                                      : "SetRateAndRestart";
+                         });
 
 }  // namespace
 }  // namespace fgqos::qos

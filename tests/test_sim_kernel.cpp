@@ -203,6 +203,64 @@ TEST(Simulator, WakeOnOwnTickEdgeDoesNotDoubleTick) {
   EXPECT_EQ(t.tick_times, (std::vector<TimePs>{0}));
 }
 
+/// Sleeps until edge time \p at, then calls wake_as_polled() on the target
+/// from its own tick.
+class Poker final : public Clocked {
+ public:
+  Poker(Simulator& s, const ClockDomain& clk, TimePs at)
+      : Clocked(s, clk, "poker"), at_(at) {}
+  Clocked* target = nullptr;
+
+  bool tick(Cycles) override {
+    if (simulator().now() == at_) {
+      target->wake_as_polled();
+    } else {
+      wake_at(at_);
+    }
+    return false;
+  }
+
+ private:
+  TimePs at_;
+};
+
+// wake_as_polled() lands on the edge a component ticking every cycle would
+// tick next: the current edge unless its turn there has already been
+// dispatched (a later-ordered tick, or host code after run_until()).
+TEST(Simulator, WakeAsPolledLandsWhereAPollingTickWould) {
+  const auto first_wake_tick = [](int producer) {
+    Simulator s;
+    ClockDomain clk("c", 100);
+    // Registration order: early poker, sleeper, late poker.
+    Poker early(s, clk, producer == 2 ? 300 : 100'000);
+    TickNTimes t(s, clk, 1);  // ticks at 0, then sleeps
+    Poker late(s, clk, producer == 3 ? 300 : 100'000);
+    early.target = &t;
+    late.target = &t;
+    switch (producer) {
+      case 0:  // event at an edge: events run before that edge's ticks
+        s.schedule_at(300, [&t] { t.wake_as_polled(); });
+        break;
+      case 1:  // event between edges
+        s.schedule_at(250, [&t] { t.wake_as_polled(); });
+        break;
+      case 4:  // host code after run_until() dispatched the edge
+        s.run_until(300);
+        t.wake_as_polled();
+        break;
+      default:
+        break;
+    }
+    s.run_until(1'000);
+    return t.tick_times.size() == 2 ? t.tick_times[1] : kTimeNever;
+  };
+  EXPECT_EQ(first_wake_tick(0), 300u);
+  EXPECT_EQ(first_wake_tick(1), 300u);
+  EXPECT_EQ(first_wake_tick(2), 300u);  // from an earlier-ordered tick
+  EXPECT_EQ(first_wake_tick(3), 400u);  // from a later-ordered tick
+  EXPECT_EQ(first_wake_tick(4), 400u);
+}
+
 TEST(Simulator, TickCountAdvances) {
   Simulator s;
   ClockDomain clk("c", 10);
