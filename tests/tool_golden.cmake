@@ -1,0 +1,54 @@
+# Runs one tool command and checks its result; used by ctest (see
+# tests/CMakeLists.txt). Invocation:
+#
+#   cmake -DOUTPUT=<file> -DGOLDEN=<file> [-DDROP_REGEX=<regex>]
+#         -P tool_golden.cmake -- <tool> <args...>
+#     The command must exit 0 and write OUTPUT; lines of OUTPUT matching
+#     DROP_REGEX are removed, then the rest must equal GOLDEN byte for byte.
+#
+#   cmake -DEXPECT_ERROR=<regex> -P tool_golden.cmake -- <tool> <args...>
+#     The command must exit non-zero and print an `error:` line on stderr
+#     matching EXPECT_ERROR.
+set(cmd "")
+set(in_cmd FALSE)
+foreach(i RANGE ${CMAKE_ARGC})
+  if(in_cmd AND DEFINED CMAKE_ARGV${i})
+    list(APPEND cmd "${CMAKE_ARGV${i}}")
+  elseif("${CMAKE_ARGV${i}}" STREQUAL "--")
+    set(in_cmd TRUE)
+  endif()
+endforeach()
+if(NOT cmd)
+  message(FATAL_ERROR "tool_golden.cmake: no command after --")
+endif()
+
+execute_process(COMMAND ${cmd} RESULT_VARIABLE rc OUTPUT_QUIET
+                ERROR_VARIABLE err TIMEOUT 120)
+
+if(DEFINED EXPECT_ERROR)
+  if(rc EQUAL 0)
+    message(FATAL_ERROR "expected a failure, but the command succeeded")
+  endif()
+  if(NOT err MATCHES "error: [^\n]*${EXPECT_ERROR}")
+    message(FATAL_ERROR "exit ${rc}; stderr does not match "
+                        "'error: ...${EXPECT_ERROR}':\n${err}")
+  endif()
+  return()
+endif()
+
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "command failed (${rc}):\n${err}")
+endif()
+set(actual "${OUTPUT}")
+if(DEFINED DROP_REGEX)
+  file(STRINGS "${OUTPUT}" lines)
+  list(FILTER lines EXCLUDE REGEX "${DROP_REGEX}")
+  list(JOIN lines "\n" text)
+  set(actual "${OUTPUT}.kept")
+  file(WRITE "${actual}" "${text}\n")
+endif()
+execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files "${actual}"
+                        "${GOLDEN}" RESULT_VARIABLE differs)
+if(NOT differs EQUAL 0)
+  message(FATAL_ERROR "${actual} differs from ${GOLDEN}")
+endif()
