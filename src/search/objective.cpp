@@ -2,7 +2,7 @@
 
 #include <string>
 
-#include "soc/soc.hpp"
+#include "scenario/scenario.hpp"
 #include "telemetry/manifest.hpp"
 #include "util/config_error.hpp"
 #include "workload/cpu_workloads.hpp"
@@ -31,9 +31,7 @@ EvalResult evaluate_attack(const AttackConfig* config, const EvalSpec& spec,
                            sim::TimePs slo_iter_ps,
                            const std::string& metrics_json_path,
                            const telemetry::RunManifest* manifest) {
-  soc::SocConfig scfg;
-  soc::Soc soc(scfg);
-
+  scenario::Spec scn;
   wl::PointerChaseConfig chase;
   chase.name = "victim";
   chase.accesses_per_iteration = spec.victim_accesses;
@@ -41,29 +39,24 @@ EvalResult evaluate_attack(const AttackConfig* config, const EvalSpec& spec,
   core_cfg.name = "victim";
   core_cfg.max_iterations = spec.victim_iterations;
   core_cfg.rng_seed = sim_seed;
-  auto& core = soc.add_core(core_cfg, wl::make_pointer_chase(chase));
-
+  scn.critical = scenario::Critical{
+      core_cfg, [chase] { return wl::make_pointer_chase(chase); }};
   if (config != nullptr) {
-    const auto gens = AttackSpace::to_traffic_gens(*config, sim_seed);
-    for (std::size_t i = 0; i < gens.size(); ++i) {
-      soc.add_traffic_gen(i % soc.accel_port_count(), gens[i]);
-    }
+    scn.aggressors = AttackSpace::to_traffic_gens(*config, sim_seed);
   }
-
   if (regulated) {
-    const auto window_ps =
-        static_cast<sim::TimePs>(spec.window_us * sim::kPsPerUs);
-    for (std::size_t p = 0; p < soc.accel_port_count(); ++p) {
-      auto& reg = *soc.qos_block(1 + p).regulator;
-      reg.set_window(window_ps);
-      reg.set_rate(spec.regulated_budget_mbps * 1e6);
-      reg.set_enabled(true);
-    }
+    // Certification regulates every HP port, aggressor or not.
+    scn.scheme = scenario::Scheme::kHw;
+    scn.regulated_ports = scenario::first_ports(scn.platform.accel_ports);
+    scn.budget_bps = spec.regulated_budget_mbps * 1e6;
+    scn.window_ps = static_cast<sim::TimePs>(spec.window_us * sim::kPsPerUs);
   }
-
   if (spec.faults != nullptr && !spec.faults->empty()) {
-    soc.arm_faults(*spec.faults, sim_seed);
+    scn.faults = spec.faults;
   }
+  scenario::Scenario built = scenario::build(scn, {}, sim_seed);
+  soc::Soc& soc = *built.chip;
+  cpu::CpuCore& core = *built.critical;
 
   const auto deadline =
       static_cast<sim::TimePs>(spec.deadline_ms * sim::kPsPerMs);

@@ -21,6 +21,31 @@ void insert_unique(std::map<std::string, std::string>& values,
 
 }  // namespace
 
+std::size_t parse_count(const std::string& text, const std::string& flag) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long parsed = std::strtoull(text.c_str(), &end, 0);
+  // strtoull accepts a leading '-' and wraps; a count never has a sign.
+  config_check(!text.empty() && text.find_first_of("+-") ==
+                                    std::string::npos &&
+                   *end == '\0' && errno != ERANGE,
+               flag + " expects a non-negative integer, got '" + text + "'");
+  return static_cast<std::size_t>(parsed);
+}
+
+double parse_number(const std::string& text, const std::string& flag) {
+  char* end = nullptr;
+  errno = 0;
+  const double parsed = std::strtod(text.c_str(), &end);
+  config_check(!text.empty() && *end == '\0',
+               flag + " expects a number, got '" + text + "'");
+  // ERANGE also flags underflow (tiny values parse to a subnormal or 0,
+  // which is fine); only overflow to +/-HUGE_VAL is a real error.
+  config_check(errno != ERANGE || std::fabs(parsed) != HUGE_VAL,
+               flag + " value out of range: '" + text + "'");
+  return parsed;
+}
+
 ArgParser::ArgParser(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -77,19 +102,13 @@ std::int64_t ArgParser::get_int(const std::string& key,
 
 double ArgParser::get_double(const std::string& key, double def) const {
   const std::string v = get(key);
-  if (v.empty()) {
-    return def;
-  }
-  char* end = nullptr;
-  errno = 0;
-  const double parsed = std::strtod(v.c_str(), &end);
-  config_check(end != nullptr && *end == '\0',
-               "ArgParser: --" + key + " expects a number, got '" + v + "'");
-  // ERANGE also flags underflow (tiny values parse to a subnormal or 0,
-  // which is fine); only overflow to +/-HUGE_VAL is a real error.
-  config_check(errno != ERANGE || std::fabs(parsed) != HUGE_VAL,
-               "ArgParser: --" + key + " value out of range: '" + v + "'");
-  return parsed;
+  return v.empty() ? def : parse_number(v, "--" + key);
+}
+
+std::size_t ArgParser::get_count(const std::string& key,
+                                 std::size_t def) const {
+  const std::string v = get(key);
+  return v.empty() ? def : parse_count(v, "--" + key);
 }
 
 bool ArgParser::get_bool(const std::string& key, bool def) const {

@@ -9,6 +9,15 @@
 
 namespace fgqos::util {
 
+/// Parses \p text as a non-negative integer for option \p flag; throws
+/// ConfigError naming the flag and the text otherwise ("-1", "2.7", "x").
+[[nodiscard]] std::size_t parse_count(const std::string& text,
+                                      const std::string& flag);
+/// Parses \p text as a number for option \p flag; throws ConfigError
+/// naming the flag and the text when it is not one or overflows.
+[[nodiscard]] double parse_number(const std::string& text,
+                                  const std::string& flag);
+
 /// Parses `--key=value`, `--key value` and bare `--flag` arguments.
 /// Unknown positional arguments are collected separately.
 class ArgParser {
@@ -27,6 +36,9 @@ class ArgParser {
   [[nodiscard]] std::int64_t get_int(const std::string& key,
                                      std::int64_t def) const;
   [[nodiscard]] double get_double(const std::string& key, double def) const;
+  /// A count: a non-negative integer (parse_count) or \p def when absent.
+  [[nodiscard]] std::size_t get_count(const std::string& key,
+                                      std::size_t def) const;
   [[nodiscard]] bool get_bool(const std::string& key, bool def) const;
 
   [[nodiscard]] const std::vector<std::string>& positional() const {
