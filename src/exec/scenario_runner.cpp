@@ -261,10 +261,11 @@ RunReport ScenarioRunner::run_report(std::vector<JobFn> batch) {
       }
       JobOutcome& out = report.jobs[i];
       {
-        // Unclaimed jobs left right now; re-read the shared cursor so late
-        // writers cannot revive a depth another worker already lowered.
-        const std::size_t claimed = std::min(next.load(), n);
+        // Unclaimed jobs left right now. The shared cursor is read under
+        // the lock, so the sets are ordered like the reads and a late
+        // writer cannot revive a depth another worker already lowered.
         const std::lock_guard<std::mutex> lock(metrics_mu);
+        const std::size_t claimed = std::min(next.load(), n);
         queue_depth.set(static_cast<double>(n - claimed));
       }
       const double wait_s = seconds_since(batch_start);
