@@ -42,11 +42,29 @@ void Interconnect::set_attribution(telemetry::AttributionEngine* engine) {
   for (const auto& p : ports_) {
     p->set_attribution(engine);
   }
+  if (attr_ != nullptr) {
+    attr_->add_settler([this] { settle_attribution(); });
+  }
+}
+
+void Interconnect::settle_attribution() {
+  const sim::Cycles next = next_polled_edge();
+  if (next == 0) {
+    return;
+  }
+  const sim::TimePs last = clock().edge_time(next - 1);
+  for (std::size_t i = 0; i < ports_.size(); ++i) {
+    MasterPort& p = *ports_[i];
+    telemetry::WaitState& w = p.attr_wait();
+    if (w.open && w.last < last) {
+      attr_->carry(w, static_cast<MasterId>(i), last, p.attr_head(last));
+    }
+  }
 }
 
 void Interconnect::notify_work(sim::TimePs ready_at) { wake_at(ready_at); }
 
-bool Interconnect::tick(sim::Cycles /*cycle*/) {
+bool Interconnect::tick(sim::Cycles cycle) {
   FGQOS_ASSERT(slave_ != nullptr, "Interconnect: slave not wired");
   const sim::TimePs now = simulator().now();
   awaiting_space_ = false;
@@ -140,19 +158,19 @@ bool Interconnect::tick(sim::Cycles /*cycle*/) {
       locked_master_ = line.last_of_txn ? -1 : pick;
     }
   }
-  // Attribution first: while it charges a waiting head it needs every
-  // cycle, and then the sleep decision below is moot.
-  if (attr_ != nullptr && attribution_pass(now, first_granted)) {
-    return true;
-  }
+  const sim::TimePs cell_change =
+      attr_ != nullptr ? attribution_pass(cycle, now, first_granted)
+                       : sim::kTimeNever;
   if (hold || locked_master_ >= 0 || !settled) {
     return true;
   }
+  // No port can be granted before `retry`; everything else that could
+  // change that notifies (issue(), gate reopen, space_freed()). With
+  // attribution on, sleep no further than the next cell change.
+  retry = std::min(retry, cell_change);
   if (retry <= now + clock().period_ps()) {
     return true;
   }
-  // No port can be granted before `retry`; everything else that could
-  // change that notifies (issue(), gate reopen, space_freed()).
   awaiting_space_ = refused;
   if (retry != sim::kTimeNever) {
     wake_at(retry);
@@ -166,24 +184,30 @@ void Interconnect::space_freed() {
   }
 }
 
-bool Interconnect::attribution_pass(sim::TimePs now, int first_granted) {
-  bool charged = false;
+sim::TimePs Interconnect::attribution_pass(sim::Cycles cycle, sim::TimePs now,
+                                          int first_granted) {
+  const sim::TimePs prev = cycle > 0 ? clock().edge_time(cycle - 1) : 0;
+  const bool window_edge =
+      cycle == 0 || attr_->window_edge(clock(), cycle - 1) == cycle;
+  sim::TimePs change = sim::kTimeNever;
+  bool waiting = false;
   for (std::size_t i = 0; i < ports_.size(); ++i) {
     MasterPort& p = *ports_[i];
     telemetry::WaitState& w = p.attr_wait();
     if (!w.open || w.last > now) {
       continue;  // no head, or the head is not visible yet
     }
-    charged = true;
+    waiting = true;
     const auto victim = static_cast<MasterId>(i);
     switch (p.grant_block_reason(now)) {
       case MasterPort::BlockReason::kEmpty:
         break;  // unreachable while the wait is open and started
       case MasterPort::BlockReason::kRateLimit:
       case MasterPort::BlockReason::kGate:
-        // The port's own data-path pacing or its own QoS gate: self.
-        attr_->charge(w, victim, victim, telemetry::Cause::kSelf, now,
-                      p.attr_head(now));
+        // The port's own data-path pacing or its own QoS gate: self. Both
+        // lift only at `retry` or with a gate's reopen signal.
+        attr_->charge_since(w, victim, victim, telemetry::Cause::kSelf, prev,
+                            now, window_edge, p.attr_head(now));
         break;
       case MasterPort::BlockReason::kNone: {
         // Grantable but not granted: lost arbitration / issue width /
@@ -191,13 +215,23 @@ bool Interconnect::attribution_pass(sim::TimePs now, int first_granted) {
         const MasterId aggressor =
             first_granted >= 0 ? static_cast<MasterId>(first_granted)
                                : last_accepted_master_;
-        attr_->charge(w, victim, aggressor, telemetry::Cause::kFabricArb, now,
-                      p.attr_head(now));
+        attr_->charge_since(w, victim, aggressor,
+                            telemetry::Cause::kFabricArb, prev, now,
+                            window_edge, p.attr_head(now));
+        // Next cycle the blame moves to the last line accepted, and a gate
+        // that does not signal may shut this port on any cycle.
+        if (aggressor != last_accepted_master_ || !p.gates_signal()) {
+          change = now;
+        }
         break;
       }
     }
   }
-  return charged;
+  if (waiting) {
+    change = std::min(
+        change, clock().edge_time(attr_->window_edge(clock(), cycle)));
+  }
+  return change;
 }
 
 void Interconnect::line_done(const LineRequest& line, sim::TimePs now) {

@@ -13,8 +13,11 @@
 /// freeing up, and relies on issue(), signalling gates
 /// (TxnGate::signals_reopen) and a signalling slave (SlaveIf::signals_space)
 /// for every other change. It keeps ticking while a blocker that does not
-/// signal holds a port, while a kTransaction burst holds the fabric, and
-/// while attribution charges a waiting head.
+/// signal holds a port and while a kTransaction burst holds the fabric.
+/// Attribution does not keep it awake: a head's wait is charged in spans,
+/// one per blame cell, and the crossbar only adds the wakes at which a
+/// head's cell can change without a grant or a signal (see
+/// attribution_pass()) plus the window-boundary edges.
 #pragma once
 
 #include <functional>
@@ -85,8 +88,9 @@ class Interconnect final : public sim::Clocked, public ResponseSink {
 
   /// Wires the interference-attribution engine into the crossbar and all
   /// its ports (nullptr disables; the default). When enabled, every
-  /// crossbar cycle classifies why each waiting head could not be granted
-  /// and charges the elapsed slice to the responsible master.
+  /// crossbar tick classifies why each waiting head could not be granted
+  /// and blames the responsible master; the crossbar keeps sleeping
+  /// between ticks as it does without attribution.
   void set_attribution(telemetry::AttributionEngine* engine);
 
   /// Fault seam on the response path: consulted once per finished line in
@@ -127,11 +131,17 @@ class Interconnect final : public sim::Clocked, public ResponseSink {
   void space_freed() override;
 
  private:
-  /// Per-cycle blame pass: charges every port whose head waited this
-  /// cycle. \p first_granted is the first master granted this tick (-1
-  /// when none) — the one that actually beat the waiters to the fabric.
-  /// Returns true when some head was waiting (and was charged).
-  bool attribution_pass(sim::TimePs now, int first_granted);
+  /// Blame pass: classifies every waiting head and hands the cell to
+  /// AttributionEngine::charge_since(). \p first_granted is the first
+  /// master granted this tick (-1 when none) — the one that actually beat
+  /// the waiters to the fabric. Returns the earliest time a cell can
+  /// change without waking the crossbar (\p now: next cycle), or a window
+  /// boundary needs a charge; kTimeNever when no head waits.
+  sim::TimePs attribution_pass(sim::Cycles cycle, sim::TimePs now,
+                               int first_granted);
+  /// AttributionEngine settler: carries every started head-of-line wait
+  /// to the last edge a per-cycle crossbar would have ticked by now.
+  void settle_attribution();
 
   InterconnectConfig cfg_;
   std::vector<std::unique_ptr<MasterPort>> ports_;

@@ -28,6 +28,12 @@ void TxnGate::reopened() const {
   }
 }
 
+void TxnGate::closed() const {
+  for (MasterPort* port : ports_) {
+    port->gate_closed();
+  }
+}
+
 void MasterPort::add_gate(TxnGate& gate) {
   gates_.push_back(&gate);
   gates_signal_ = gates_signal_ && gate.signals_reopen();
@@ -36,6 +42,14 @@ void MasterPort::add_gate(TxnGate& gate) {
 
 void MasterPort::gate_reopened() {
   if (!queue_.empty()) {
+    owner_.wake_as_polled();
+  }
+}
+
+void MasterPort::gate_closed() {
+  // Only blame can tell: a head the gate admitted but the slave refused
+  // turns from lost arbitration to self-inflicted.
+  if (attr_ != nullptr && !queue_.empty()) {
     owner_.wake_as_polled();
   }
 }
@@ -88,8 +102,9 @@ bool MasterPort::issue(Dir dir, Addr addr, std::uint32_t bytes,
   queue_.push(txn, now);
   if (attr_ != nullptr && becomes_head) {
     // Fresh head: its head-of-line wait starts the instant it turns
-    // visible (now + request latency). Charged by the interconnect's
-    // per-cycle attribution pass, closed in commit_grant().
+    // visible (now + request latency), where notify_work() below wakes the
+    // crossbar to classify it. Charged by the interconnect's attribution
+    // pass, closed in commit_grant().
     attr_->begin_wait(attr_wait_, queue_.head_ready_at());
   }
   owner_.notify_work(queue_.head_ready_at());
@@ -241,8 +256,13 @@ void MasterPort::inject_stall(sim::TimePs duration) {
   const sim::TimePs now = owner_.simulator().now();
   data_free_at_ = std::max(data_free_at_, now + duration);
   stats_.fault_stalls.add();
-  // Make sure the crossbar re-evaluates this port when the stall lifts.
+  // Make sure the crossbar re-evaluates this port when the stall lifts
+  // and, with attribution on, right away: a head the slave refused stops
+  // losing arbitration and starts stalling on its own port.
   owner_.notify_work(data_free_at_);
+  if (attr_ != nullptr) {
+    owner_.wake_as_polled();
+  }
 }
 
 void MasterPort::set_attribution(telemetry::AttributionEngine* engine) {

@@ -32,9 +32,13 @@ class MasterPort;
 ///
 /// Reopen contract: a gate whose signals_reopen() is true promises that
 /// allow() turns true only inside calls that end with reopened(), which
-/// wakes every port the gate was attached to. The crossbar may then sleep
-/// through a port this gate blocks. A gate that keeps the default (false)
-/// is re-evaluated on every crossbar cycle while it blocks a port.
+/// wakes every port the gate was attached to, and that allow() turns false
+/// only inside on_grant() or calls that end with reopened() or closed().
+/// The crossbar may then sleep through a port this gate blocks, and, with
+/// attribution on, through a port it admits but the slave refuses. A gate
+/// that keeps the default (false) is re-evaluated on every crossbar cycle
+/// while it blocks a port or, with attribution on, while its admitted port
+/// waits.
 class TxnGate {
  public:
   virtual ~TxnGate() = default;
@@ -49,6 +53,9 @@ class TxnGate {
  protected:
   /// Tells every gated port that allow() may have turned true.
   void reopened() const;
+  /// Tells every gated port that allow() may have turned false outside
+  /// on_grant() (attribution reclassifies a waiting head).
+  void closed() const;
 
  private:
   friend class MasterPort;  // add_gate() subscribes the port
@@ -158,6 +165,11 @@ class MasterPort {
   /// Reopen signal of an attached gate: wakes the crossbar when a request
   /// is queued.
   void gate_reopened();
+  /// Close signal of an attached gate: wakes the crossbar when attribution
+  /// is on and a request is queued.
+  void gate_closed();
+  /// True when every attached gate keeps the reopen contract.
+  [[nodiscard]] bool gates_signal() const { return gates_signal_; }
 
   /// The line that would be granted next. Pre: head visible.
   [[nodiscard]] LineRequest peek_line(sim::TimePs now) const;
@@ -181,7 +193,7 @@ class MasterPort {
   void set_attribution(telemetry::AttributionEngine* engine);
 
   /// Head-of-line wait bookkeeping, charged by the interconnect's
-  /// per-cycle attribution pass.
+  /// attribution pass on each crossbar tick.
   [[nodiscard]] telemetry::WaitState& attr_wait() { return attr_wait_; }
   /// The transaction currently waiting at the head. Pre: head visible.
   [[nodiscard]] Transaction* attr_head(sim::TimePs now) const {

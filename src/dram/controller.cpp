@@ -133,8 +133,8 @@ void Controller::accept(axi::LineRequest line, sim::TimePs now) {
   e.line = line;
   if (attr_ != nullptr) {
     // The line's queueing wait starts once the front-end pipeline makes it
-    // schedulable; charged per cycle by attribution_pass(), closed at CAS
-    // issue.
+    // schedulable; classified by attribution_pass() on every tick from
+    // then on, charged in spans, closed at CAS issue.
     attr_->begin_wait(e.wait, e.visible_at);
   }
   const sim::TimePs visible_at = e.visible_at;
@@ -390,16 +390,17 @@ bool Controller::tick(sim::Cycles cycle) {
   napping_ = false;
   const sim::TimePs now = simulator().now();
   const Cycle c = cycle;
-  // Scheduling proper lives in schedule(); splitting it out gives the
-  // attribution pass a single point that runs on every tick, including the
-  // refresh and CAS-issued early exits.
+  // The attribution pass runs between scheduling and the nap: on every
+  // tick, including the refresh and CAS-issued ones, and early enough to
+  // cut the nap short at the next cycle a waiting line's blame cell
+  // changes on a timer.
   bool serve_reads = true;
   bool serve_writes = true;
-  const bool keep_ticking = schedule(c, now, serve_reads, serve_writes);
-  if (attr_ != nullptr) {
-    attribution_pass(c, now, serve_reads, serve_writes);
-  }
-  return keep_ticking;
+  const bool bus_used = schedule(c, now, serve_reads, serve_writes);
+  const Cycle cell_change =
+      attr_ != nullptr ? attribution_pass(c, now, serve_reads, serve_writes)
+                       : kNever;
+  return bus_used || nap(c, cell_change);
 }
 
 bool Controller::schedule(Cycle c, sim::TimePs now, bool& serve_reads,
@@ -442,22 +443,21 @@ bool Controller::schedule(Cycle c, sim::TimePs now, bool& serve_reads,
       serve_writes != gate_serve_writes_) {
     gate_serve_reads_ = serve_reads;
     gate_serve_writes_ = serve_writes;
-    if (decide(c, now, serve_reads, serve_writes)) {
-      return true;
-    }
+    return decide(c, now, serve_reads, serve_writes);
   }
+  return false;
+}
 
-  if (rq.size == 0 && wq.size == 0) {
+bool Controller::nap(Cycle c, Cycle wake) {
+  if (queues_[0].size == 0 && queues_[1].size == 0) {
     return false;  // accept() wakes the controller for the next arrival
   }
-  if (attr_ != nullptr) {
-    return true;  // the attribution pass charges every waiting cycle
-  }
   // Nap: until the first cycle at which a command can become legal, the
-  // refresh falls due or a queue head ages into the scan, every tick would
-  // return right here. accept() and set_refresh_interval_divisor() cut the
-  // nap short.
-  Cycle wake = std::min(next_decision_, next_refresh_);
+  // refresh falls due, a queue head ages into the scan or (\p wake) a
+  // waiting line's blame cell changes, every tick would schedule nothing
+  // and charge nothing new. accept() and set_refresh_interval_divisor()
+  // cut the nap short.
+  wake = std::min({wake, next_decision_, next_refresh_});
   for (const Queue& q : queues_) {
     if (q.head != kNil) {
       const Cycle aged = slots_[q.head].age_origin + cfg_.starvation_cycles;
@@ -629,9 +629,17 @@ bool Controller::decide(Cycle c, sim::TimePs now, bool serve_reads,
   return false;
 }
 
-void Controller::attribution_pass(Cycle c, sim::TimePs now, bool serve_reads,
-                                  bool serve_writes) {
+Controller::Cycle Controller::attribution_pass(Cycle c, sim::TimePs now,
+                                               bool serve_reads,
+                                               bool serve_writes) {
   const bool refresh_busy = c < refresh_busy_until_;
+  const sim::TimePs prev = c > 0 ? clock().edge_time(c - 1) : 0;
+  const bool window_edge = c == 0 || attr_->window_edge(clock(), c - 1) == c;
+  // Earliest cycle at which a cell classified below changes on a timer; every
+  // other change comes with a command, refresh, accept() or a served-
+  // direction flip, all of which tick the controller.
+  Cycle change = kNever;
+  bool waiting = false;
   auto pass_queue = [&](const Queue& q, bool served, bool is_write) {
     for (std::uint32_t i = q.head; i != kNil; i = slots_[i].q_next) {
       QueueEntry& e = slots_[i].e;
@@ -641,6 +649,7 @@ void Controller::attribution_pass(Cycle c, sim::TimePs now, bool serve_reads,
       if (!e.wait.open) {
         continue;
       }
+      waiting = true;
       const axi::MasterId victim = e.line.txn->master;
       axi::MasterId aggressor;
       telemetry::Cause cause;
@@ -648,6 +657,7 @@ void Controller::attribution_pass(Cycle c, sim::TimePs now, bool serve_reads,
         // tRFC blocks every bank; nobody's traffic is at fault.
         aggressor = telemetry::kNoOwner;
         cause = telemetry::Cause::kDramRefresh;
+        change = std::min(change, refresh_busy_until_);
       } else if (!served) {
         // Direction excluded from the scan: write-drain batching (or its
         // read mirror) is bus-turnaround amortisation — the opposite
@@ -666,22 +676,46 @@ void Controller::attribution_pass(Cycle c, sim::TimePs now, bool serve_reads,
           // opposite-direction burst (tWTR / tRTW).
           aggressor = is_write ? write_block_owner_ : read_block_owner_;
           cause = telemetry::Cause::kDramBusTurnaround;
+          change = std::min(change, dir_cas_ready(is_write));
         } else {
           // Schedulable but lost FR-FCFS / bus occupancy this cycle.
           aggressor = bus_owner_;
           cause = telemetry::Cause::kFabricArb;
         }
       }
-      attr_->charge(e.wait, victim, aggressor, cause, now, e.line.txn,
-                    e.where.bank);
+      attr_->charge_since(e.wait, victim, aggressor, cause, prev, now,
+                          window_edge, e.line.txn, e.where.bank);
     }
   };
   pass_queue(queues_[0], serve_reads, false);
   pass_queue(queues_[1], serve_writes, true);
+  return waiting ? std::min(change, attr_->window_edge(clock(), c)) : change;
+}
+
+void Controller::settle_attribution() {
+  const Cycle next = next_polled_edge();
+  if (next == 0) {
+    return;
+  }
+  const sim::TimePs last = clock().edge_time(next - 1);
+  for (const Queue& q : queues_) {
+    for (std::uint32_t i = q.head; i != kNil; i = slots_[i].q_next) {
+      QueueEntry& e = slots_[i].e;
+      if (e.visible_at > last) {
+        break;
+      }
+      if (e.wait.open) {
+        attr_->carry(e.wait, e.line.txn->master, last, e.line.txn);
+      }
+    }
+  }
 }
 
 void Controller::set_attribution(telemetry::AttributionEngine* engine) {
   attr_ = engine;
+  if (attr_ != nullptr) {
+    attr_->add_settler([this] { settle_attribution(); });
+  }
   bank_owner_.assign(banks_.size(), telemetry::kNoOwner);
   bus_owner_ = telemetry::kNoOwner;
   read_block_owner_ = telemetry::kNoOwner;

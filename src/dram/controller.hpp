@@ -127,10 +127,14 @@ class Controller final : public sim::Clocked, public axi::SlaveIf {
   void set_trace(telemetry::TraceWriter* writer, const std::string& track_name);
 
   /// Wires the interference-attribution engine (nullptr disables; the
-  /// default). When enabled, every controller cycle classifies why each
-  /// visible queued line could not issue its CAS (bank conflict, bus
-  /// turnaround / write-drain batching, refresh, scheduling) and charges
-  /// the slice to the master occupying that resource.
+  /// default). When enabled, every tick classifies why each visible queued
+  /// line could not issue its CAS (bank conflict, bus turnaround /
+  /// write-drain batching, refresh, scheduling) and blames the master
+  /// occupying that resource. The controller naps as it does without
+  /// attribution: a line's wait is charged in spans, one per blame cell,
+  /// and the nap ends early at each cycle a waiting line's cell can change
+  /// on a timer (the end of tRFC or of a turnaround window) and at each
+  /// window boundary (see AttributionEngine's wake rules).
   void set_attribution(telemetry::AttributionEngine* engine);
 
   /// Fault seam: divides tREFI by \p divisor (>= 1), modelling a refresh
@@ -210,19 +214,28 @@ class Controller final : public sim::Clocked, public axi::SlaveIf {
   /// Visibility cycle of the oldest entry not yet indexed (kNever if none).
   [[nodiscard]] Cycle next_visible_cycle() const;
   /// One scheduling cycle: refresh, drain/aging flags, then decide()
-  /// unless the next-decision gate is closed; then naps until the next
-  /// cycle that can act. Reports the scan-direction decision through
-  /// \p serve_reads / \p serve_writes so the attribution pass can classify
-  /// drain exclusion.
+  /// unless the next-decision gate is closed. Returns true when the
+  /// command bus was used (refresh or CAS). Reports the scan-direction
+  /// decision through \p serve_reads / \p serve_writes so the attribution
+  /// pass can classify drain exclusion.
   bool schedule(Cycle c, sim::TimePs now, bool& serve_reads,
                 bool& serve_writes);
+  /// After a tick that used no command: naps until the next cycle that can
+  /// act or, if earlier, \p wake. Returns tick()'s keep-ticking result.
+  bool nap(Cycle c, Cycle wake);
   /// Issues at most one command (CAS first, else PRE/ACT) chosen from the
   /// per-bank lists. When nothing is legal, records in next_decision_ the
   /// first cycle at which that can change. Returns true when a CAS issued.
   bool decide(Cycle c, sim::TimePs now, bool serve_reads, bool serve_writes);
-  /// Per-cycle blame pass over every visible waiting queue entry.
-  void attribution_pass(Cycle c, sim::TimePs now, bool serve_reads,
-                        bool serve_writes);
+  /// Blame pass: classifies every visible waiting queue entry and hands
+  /// the cell to AttributionEngine::charge_since(). Returns the first
+  /// cycle after \p c at which a cell changes on a timer or a window
+  /// boundary needs a charge (kNever when nothing waits).
+  Cycle attribution_pass(Cycle c, sim::TimePs now, bool serve_reads,
+                         bool serve_writes);
+  /// AttributionEngine settler: carries every visible wait to the last
+  /// edge a per-cycle controller would have ticked by now.
+  void settle_attribution();
 
   ControllerConfig cfg_;
   AddressMapper mapper_;
@@ -245,8 +258,7 @@ class Controller final : public sim::Clocked, public axi::SlaveIf {
   Cycle next_decision_ = 0;
   bool gate_serve_reads_ = true;
   bool gate_serve_writes_ = true;
-  /// Asleep with work queued (the nap in schedule()); never set while
-  /// attribution is on.
+  /// Asleep with work queued (the nap in nap()).
   bool napping_ = false;
 
   // Global channel state (absolute controller cycles).

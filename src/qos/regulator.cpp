@@ -327,8 +327,13 @@ void Regulator::on_grant(const axi::LineRequest& line, sim::TimePs now) {
       now + cfg_.observation_latency_ps,
       [this, key, bytes, window]() {
         if (window == window_) {
-          buckets_[key].credit.debit_late(bytes);
-          debit_landed(buckets_[key], sim_.now());
+          Bucket& late = buckets_[key];
+          const bool was_exhausted = late.exhausted;
+          late.credit.debit_late(bytes);
+          debit_landed(late, sim_.now());
+          if (late.exhausted && !was_exhausted) {
+            closed();  // shut outside on_grant()
+          }
         }
       },
       prof_tag_);

@@ -43,10 +43,13 @@ void Clocked::wake_at(TimePs at) {
 
 void Clocked::wake() { wake_at(sim_.now() + 1); }
 
-void Clocked::wake_as_polled() {
+void Clocked::wake_as_polled() { wake_at(clk_->edge_time(next_polled_edge())); }
+
+Cycles Clocked::next_polled_edge() const {
   const TimePs now = sim_.now();
-  const bool on_edge = clk_->next_edge_at_or_after(now) == now;
-  wake_at(on_edge && sim_.tick_dispatched(now, order_) ? now + 1 : now);
+  const Cycles edge = clk_->edge_index_at_or_after(now);
+  const bool on_edge = clk_->edge_time(edge) == now;
+  return on_edge && sim_.tick_dispatched(now, order_) ? edge + 1 : edge;
 }
 
 void Simulator::register_clocked(Clocked& c) {

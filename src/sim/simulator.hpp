@@ -75,6 +75,10 @@ class Clocked {
   /// tick, or host code between run_until() calls.
   void wake_as_polled();
 
+  /// The edge wake_as_polled() wakes for: every earlier edge is one a
+  /// component ticking every cycle would already have ticked.
+  [[nodiscard]] Cycles next_polled_edge() const;
+
   [[nodiscard]] const ClockDomain& clock() const { return *clk_; }
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] Simulator& simulator() const { return sim_; }

@@ -313,6 +313,7 @@ telemetry::TimeSeriesRecorder& Soc::enable_timeseries(
       const auto victim = static_cast<axi::MasterId>(m);
       rec.add_series("attr." + xbar_->master(m).name() + ".stall_ps",
                      Kind::kDelta, [attr, victim](sim::TimePs) {
+                       attr->settle();
                        return static_cast<double>(
                            attr->victim_stall_ps(victim));
                      });

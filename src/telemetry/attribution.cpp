@@ -40,6 +40,16 @@ void AttributionEngine::add_window_listener(WindowListener fn) {
   listeners_.push_back(std::move(fn));
 }
 
+void AttributionEngine::add_settler(std::function<void()> fn) {
+  settlers_.push_back(std::move(fn));
+}
+
+void AttributionEngine::settle() {
+  for (const auto& fn : settlers_) {
+    fn();
+  }
+}
+
 void AttributionEngine::enable_bank_dimension(std::uint32_t banks) {
   config_check(banks > 0, "AttributionEngine: bank count must be > 0");
   config_check(!names_.empty(),
@@ -194,6 +204,7 @@ void AttributionEngine::finish(sim::TimePs now) {
     return;
   }
   finished_ = true;
+  settle();
   roll_to(now);
   if (now > window_start_) {
     publish_window(now);  // final partial window
@@ -395,6 +406,7 @@ void AttributionEngine::save_json(const std::string& path) const {
 }
 
 void AttributionEngine::publish_metrics() {
+  settle();
   const auto set_counter = [this](const std::string& name, std::uint64_t v) {
     Counter& c = metrics_.counter(name);
     c.reset();

@@ -34,6 +34,25 @@
 /// in debug builds, a `telemetry.attribution.residual_ps` gauge in
 /// release builds.
 ///
+/// Charging spans: a waiting component need not tick every cycle, nor
+/// charge on every tick. Each tick it does run classifies every open wait
+/// and hands the cell to charge_since(): while the cell stays the one the
+/// wait stored, its span stays open; when it changes, the span up to the
+/// previous edge goes to the stored cell and the last cycle to the new
+/// one. That equals one charge per cycle as long as the component keeps
+/// two wake rules while it holds an open, started wait:
+///  * it ticks on every edge at which a wait's (aggressor, cause, bank)
+///    cell can change: its own commands and grants, the arrivals and gate
+///    or slave signals that already wake it, and the timed expiries its
+///    classification reads (refresh and turnaround windows, rate limits);
+///  * it ticks on its last edge at or before every window boundary and on
+///    its first edge after it (window_edge()), and charges every wait
+///    there, so no span straddles a boundary and windows roll over at the
+///    same instant as under per-cycle charging (listeners read live
+///    counters then).
+/// Between window edges a component's open spans are not charged yet;
+/// settle() charges them for readers that run in between.
+///
 /// Zero-cost when disabled: every hook is behind a nullable
 /// AttributionEngine pointer (one predicted branch), and the hot path
 /// never allocates (window publication, once per window, may).
@@ -47,9 +66,11 @@
 
 #include "axi/transaction.hpp"
 #include "axi/types.hpp"
+#include "sim/clock_domain.hpp"
 #include "sim/time.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
+#include "util/assert.hpp"
 
 namespace fgqos::telemetry {
 
@@ -162,6 +183,66 @@ class AttributionEngine {
               Cause cause, sim::TimePs now, axi::Transaction* txn,
               std::uint32_t bank = kNoBank);
 
+  /// charge() for a component that may have slept, or left the span open,
+  /// since the last charge; one call per wait per tick, with the cell
+  /// classified on this tick. When that is the cell \p w stored and
+  /// \p window_edge is false (see window_edge()), nothing is charged: the
+  /// span stays open. Otherwise the span [w.last, prev] up to the
+  /// previous clock edge \p prev goes to the stored cell (which the wake
+  /// rules above keep valid), the rest to (\p aggressor, \p cause,
+  /// \p bank).
+  void charge_since(WaitState& w, axi::MasterId victim,
+                    axi::MasterId aggressor, Cause cause, sim::TimePs prev,
+                    sim::TimePs now, bool window_edge, axi::Transaction* txn,
+                    std::uint32_t bank = kNoBank) {
+    normalize(victim, aggressor, cause);
+    if (!window_edge && aggressor == w.last_aggressor &&
+        cause == w.last_cause && bank == w.last_bank) {
+      return;
+    }
+    carry(w, victim, prev, txn);
+    charge(w, victim, aggressor, cause, now, txn, bank);
+  }
+
+  /// Charges the span [w.last, \p upto] of \p victim's open wait to the
+  /// cell stored by the last charge; nothing when w.last >= \p upto.
+  void carry(WaitState& w, axi::MasterId victim, sim::TimePs upto,
+             axi::Transaction* txn) {
+    if (w.last < upto) {
+      FGQOS_DEBUG_ASSERT(w.last_aggressor != kNoOwner,
+                         "AttributionEngine: slept through a wait's first "
+                         "cycle");
+      charge(w, victim, w.last_aggressor, w.last_cause, upto, txn,
+             w.last_bank);
+    }
+  }
+
+  /// Registers a charging component's catch-up, once, when it is wired to
+  /// this engine: a call that carry()s each of its open waits to the last
+  /// edge it would have ticked by now had it ticked every cycle
+  /// (Clocked::next_polled_edge()). It must stay callable while the
+  /// engine settles.
+  void add_settler(std::function<void()> fn);
+
+  /// Runs every settler, so that reads between ticks see each stalled
+  /// picosecond a per-cycle charger would have charged by now. finish()
+  /// and publish_metrics() settle first; so must any mid-run reader of
+  /// the totals (time-series samples).
+  void settle();
+
+  /// Window-boundary wake rule: the next edge of \p clk after edge \p c at
+  /// which a component holding an open wait must charge it — its last edge
+  /// at or before the next window boundary or, when that is \p c itself,
+  /// the first edge after the boundary. Windows tile time from 0, so edge
+  /// c is itself such an edge when window_edge(clk, c - 1) == c.
+  [[nodiscard]] sim::Cycles window_edge(const sim::ClockDomain& clk,
+                                        sim::Cycles c) const {
+    const sim::TimePs now = clk.edge_time(c);
+    const sim::Cycles last =
+        clk.cycles_at((now + window_ps_ - 1) / window_ps_ * window_ps_);
+    return last > c ? last : c + 1;
+  }
+
   /// Closes \p w at \p now: charges the final slice to the last observed
   /// blocker and credits \p bytes to that cell (only when the wait had
   /// nonzero length).
@@ -273,6 +354,7 @@ class AttributionEngine {
   std::vector<Cell> bank_totals_;    ///< cumulative, M*banks*C
   std::vector<WindowRecord> history_;
   std::vector<WindowListener> listeners_;
+  std::vector<std::function<void()>> settlers_;
   std::uint64_t residual_ps_ = 0;
   bool finished_ = false;
   TraceWriter* trace_ = nullptr;

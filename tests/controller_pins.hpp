@@ -1,0 +1,41 @@
+/// \file controller_pins.hpp
+/// \brief The seeded DRAM controller streams ControllerPinned records
+///        (defined in test_dram.cpp), shared with the attribution tests.
+#pragma once
+
+#include <cstdint>
+#include <vector>
+
+#include "dram/address_mapper.hpp"
+#include "dram/controller.hpp"
+
+namespace fgqos::dram {
+
+struct PinCase {
+  const char* name;
+  PagePolicy page;
+  MappingPolicy mapping;
+  std::uint64_t starvation_cycles;
+  std::uint32_t refresh_divisor;
+  bool attribution;
+  std::uint64_t seed;
+  std::uint64_t digest;
+  /// Ticks of the controller forced to tick every cycle while work is
+  /// queued (testing::ForcedPoll).
+  std::uint64_t ticks;
+};
+
+struct PinResult {
+  std::uint64_t digest;
+  std::uint64_t ticks;
+  /// testing::blame_record() of the run; empty without attribution.
+  std::vector<std::uint64_t> blame;
+};
+
+extern const std::vector<PinCase> kPinCases;
+
+/// Runs \p pc's stream; \p poll forces the controller to tick every cycle
+/// while work is queued.
+PinResult run_pin_case(const PinCase& pc, bool poll = false);
+
+}  // namespace fgqos::dram

@@ -1,13 +1,16 @@
 // Interference-attribution tests: the blame-matrix engine (telescoping
 // charges, sentinel folding, window rollover, exports, dominant-cell
 // lookup, metrics publication), full-platform conservation of measured
-// vs charged stall, scheduling invariance with attribution on (which also
-// checks sleeping components against polling ones), sweep
-// blame-CSV determinism across worker counts, and the SLA watchdog's
-// hysteresis and reporting.
+// vs charged stall, scheduling invariance with attribution on, span
+// charging by sleeping components against per-cycle charging by forced
+// polling ones, the host cost of attribution, sweep blame-CSV determinism
+// across worker counts, and the SLA watchdog's hysteresis and reporting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <map>
+#include <memory>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -15,9 +18,14 @@
 #include <utility>
 #include <vector>
 
+#include "controller_pins.hpp"
 #include "exec/scenario_runner.hpp"
 #include "fault/fault_plan.hpp"
+#include "axi/interconnect.hpp"
+#include "forced_poll.hpp"
 #include "qos/sla_watchdog.hpp"
+#include "scenario/scenario.hpp"
+#include "soc/presets.hpp"
 #include "soc/soc.hpp"
 #include "telemetry/attribution.hpp"
 #include "telemetry/metrics.hpp"
@@ -236,9 +244,9 @@ TEST(AttributionSoc, WriteAggressorsDominateVictimBlame) {
 }
 
 // Attribution is pure observation: enabling it must not move a single
-// event. With attribution on the crossbar and the DRAM controller tick
-// every cycle a head waits; with it off they sleep through cycles in which
-// nothing can happen. So this is also the sleep-vs-poll oracle: every
+// event. The crossbar and the DRAM controller sleep with attribution on or
+// off, and a third run forces both to tick every cycle (ForcedPoll), so
+// this also holds sleeping components to polling ones: every
 // collect_stats() value must match except the kernel's own counters
 // (sim.*) and the attribution outputs (attr.*, telemetry.*).
 struct PerturbCase {
@@ -248,10 +256,76 @@ struct PerturbCase {
   wl::Pattern pattern = wl::Pattern::kSeqRead;  ///< aggressors' pattern
   std::uint64_t iterations = 2;  ///< pointer-chase iterations (run length)
   std::size_t aggressors = 2;    ///< one per accelerator port
+  /// Regulator observation lag: the gate also shuts on a late debit,
+  /// outside any grant.
+  sim::TimePs lag_ps = 0;
+  std::size_t channels = 1;  ///< DRAM channels
 };
 
 std::ostream& operator<<(std::ostream& os, const PerturbCase& c) {
   return os << c.name;
+}
+
+/// A finished platform run; the pollers die before the chip.
+struct PerturbRun {
+  std::unique_ptr<soc::Soc> chip;
+  std::vector<std::unique_ptr<testing::ForcedPoll>> pollers;
+};
+
+/// One platform run of \p pc, finished; with 10 us blame windows when
+/// \p blame, and with the crossbar and every controller ticking every
+/// cycle when \p poll.
+PerturbRun run_perturb_case(const PerturbCase& pc, bool blame, bool poll) {
+  soc::SocConfig cfg;
+  cfg.default_regulator.observation_latency_ps = pc.lag_ps;
+  cfg.dram_channels = pc.channels;
+  PerturbRun run{std::make_unique<soc::Soc>(cfg), {}};
+  soc::Soc* chip = run.chip.get();
+  cpu::CoreConfig cc;
+  cc.name = "critical";
+  cc.max_iterations = pc.iterations;
+  wl::PointerChaseConfig chase;
+  chase.accesses_per_iteration = 256;
+  chip->add_core(cc, wl::make_pointer_chase(chase));
+  for (std::size_t i = 0; i < pc.aggressors; ++i) {
+    wl::TrafficGenConfig tg;
+    tg.name = "agg" + std::to_string(i);
+    tg.base = 0x8000'0000 + (static_cast<axi::Addr>(i) << 26);
+    tg.seed = 7 + i;
+    tg.pattern = pc.pattern;
+    chip->add_traffic_gen(i, tg);
+  }
+  if (pc.regulate) {
+    qos::Regulator& r = *chip->qos_block(1).regulator;
+    r.set_rate(200e6);
+    r.set_enabled(true);
+  }
+  if (pc.faults != nullptr) {
+    chip->arm_faults(fault::FaultPlan::from_json(pc.faults), 1);
+  }
+  if (blame) {
+    chip->enable_attribution(10 * sim::kPsPerUs);
+  }
+  if (poll) {
+    run.pollers.push_back(
+        testing::force_poll(chip->xbar(), chip->attribution()));
+    for (std::size_t ch = 0; ch < chip->dram_channel_count(); ++ch) {
+      run.pollers.push_back(
+          testing::force_poll(chip->dram(ch), chip->attribution()));
+    }
+  }
+  EXPECT_TRUE(chip->run_until_cores_finished(500 * sim::kPsPerMs));
+  chip->finish_telemetry();
+  return run;
+}
+
+/// Crossbar plus controller ticks.
+std::uint64_t memory_path_ticks(soc::Soc& chip) {
+  std::uint64_t ticks = chip.xbar().ticks_fired();
+  for (std::size_t ch = 0; ch < chip.dram_channel_count(); ++ch) {
+    ticks += chip.dram(ch).ticks_fired();
+  }
+  return ticks;
 }
 
 class AttributionSocScenario
@@ -259,37 +333,11 @@ class AttributionSocScenario
 
 TEST_P(AttributionSocScenario, EnablingAttributionDoesNotPerturbScheduling) {
   const PerturbCase& pc = GetParam();
-  const auto run = [&pc](bool blame) {
-    soc::SocConfig cfg;
-    soc::Soc chip(cfg);
-    cpu::CoreConfig cc;
-    cc.name = "critical";
-    cc.max_iterations = pc.iterations;
-    wl::PointerChaseConfig chase;
-    chase.accesses_per_iteration = 256;
-    chip.add_core(cc, wl::make_pointer_chase(chase));
-    for (std::size_t i = 0; i < pc.aggressors; ++i) {
-      wl::TrafficGenConfig tg;
-      tg.name = "agg" + std::to_string(i);
-      tg.base = 0x8000'0000 + (static_cast<axi::Addr>(i) << 26);
-      tg.seed = 7 + i;
-      tg.pattern = pc.pattern;
-      chip.add_traffic_gen(i, tg);
-    }
-    if (pc.regulate) {
-      qos::Regulator& r = *chip.qos_block(1).regulator;
-      r.set_rate(200e6);
-      r.set_enabled(true);
-    }
-    if (pc.faults != nullptr) {
-      chip.arm_faults(fault::FaultPlan::from_json(pc.faults), 1);
-    }
-    if (blame) {
-      chip.enable_attribution(10 * sim::kPsPerUs);
-    }
-    EXPECT_TRUE(chip.run_until_cores_finished(500 * sim::kPsPerMs));
+  const auto run = [&pc](bool blame, bool poll) {
+    const PerturbRun r = run_perturb_case(pc, blame, poll);
+    soc::Soc* chip = r.chip.get();
     sim::StatsRegistry stats;
-    chip.collect_stats(stats);
+    chip->collect_stats(stats);
     std::map<std::string, double> kept;
     for (const auto& [name, value] : stats.all()) {
       if (name.rfind("sim.", 0) != 0 && name.rfind("attr.", 0) != 0 &&
@@ -297,45 +345,228 @@ TEST_P(AttributionSocScenario, EnablingAttributionDoesNotPerturbScheduling) {
         kept.emplace(name, value);
       }
     }
-    return std::pair(chip.now(), kept);
+    return std::pair(chip->now(), kept);
   };
-  const auto [end_off, off] = run(false);
-  const auto [end_on, on] = run(true);
+  const auto [end_off, off] = run(false, false);
+  const auto [end_on, on] = run(true, false);
+  const auto [end_polled, polled] = run(true, true);
   EXPECT_EQ(end_off, end_on);
+  EXPECT_EQ(end_off, end_polled);
   if (pc.faults != nullptr) {
     EXPECT_GT(end_off, 1200 * sim::kPsPerUs);  // past every fault window
   }
   EXPECT_GT(off.size(), 50u);
   EXPECT_EQ(off, on);
+  EXPECT_EQ(off, polled);
 }
 
 // The faults mirror ci/fault_smoke.json: SLVERR responses, a periodic
 // port stall, dropped replenish IRQs, a frozen monitor and a refresh
 // storm, all inside the run.
+const PerturbCase kPerturbCases[] = {
+    PerturbCase{"HwRegulation", true, nullptr},
+    PerturbCase{"Unregulated", false, nullptr},
+    // Four write floods keep the DRAM write queue deep.
+    PerturbCase{"UnregulatedWrites", false, nullptr, wl::Pattern::kSeqWrite,
+                1, 4},
+    PerturbCase{"HwRegulationWithFaults", true, R"({
+      "seed": 7,
+      "faults": [
+        {"kind": "axi_slverr", "target": 1, "prob": 0.02},
+        {"kind": "port_stall", "target": 2, "period_us": 200,
+         "duration_us": 10},
+        {"kind": "reg_irq_drop", "target": 1, "prob": 0.25,
+         "start_us": 100, "end_us": 1200},
+        {"kind": "monitor_freeze", "target": 3, "prob": 1,
+         "start_us": 400, "end_us": 900},
+        {"kind": "refresh_storm", "factor": 8, "start_us": 600}
+      ]
+    })", wl::Pattern::kSeqRead, 36},
+    PerturbCase{"LaggedRegulation", true, nullptr, wl::Pattern::kSeqWrite, 2,
+                3, 500 * sim::kPsPerNs},
+    PerturbCase{"TwoChannels", false, nullptr, wl::Pattern::kSeqRead, 2, 3, 0,
+                2}};
+
 INSTANTIATE_TEST_SUITE_P(
-    Scenarios, AttributionSocScenario,
-    ::testing::Values(
-        PerturbCase{"HwRegulation", true, nullptr},
-        PerturbCase{"Unregulated", false, nullptr},
-        // Four write floods keep the DRAM write queue deep.
-        PerturbCase{"UnregulatedWrites", false, nullptr,
-                    wl::Pattern::kSeqWrite, 1, 4},
-        PerturbCase{"HwRegulationWithFaults", true, R"({
-          "seed": 7,
-          "faults": [
-            {"kind": "axi_slverr", "target": 1, "prob": 0.02},
-            {"kind": "port_stall", "target": 2, "period_us": 200,
-             "duration_us": 10},
-            {"kind": "reg_irq_drop", "target": 1, "prob": 0.25,
-             "start_us": 100, "end_us": 1200},
-            {"kind": "monitor_freeze", "target": 3, "prob": 1,
-             "start_us": 400, "end_us": 900},
-            {"kind": "refresh_storm", "factor": 8, "start_us": 600}
-          ]
-        })", wl::Pattern::kSeqRead, 36}),
+    Scenarios, AttributionSocScenario, ::testing::ValuesIn(kPerturbCases),
     [](const ::testing::TestParamInfo<PerturbCase>& p) {
       return p.param.name;
     });
+
+// Span charging is per-cycle charging: a component that sleeps and charges
+// each wait in spans, one per blame cell, must record exactly what the
+// same component records when forced to tick, and its engine to settle,
+// every cycle (one slice per cycle) — every window, every total, every
+// bank total — with a conservation residual of 0, while ticking less. The
+// cases are the platform scenarios above and the attribution streams
+// ControllerPinned records.
+struct OracleRun {
+  std::vector<std::uint64_t> blame;  ///< testing::blame_record()
+  std::uint64_t ticks;               ///< memory-path ticks
+};
+
+struct OracleCase {
+  std::string name;
+  std::function<OracleRun(bool poll)> run;
+};
+
+std::ostream& operator<<(std::ostream& os, const OracleCase& c) {
+  return os << c.name;
+}
+
+std::vector<OracleCase> oracle_cases() {
+  std::vector<OracleCase> cases;
+  for (const PerturbCase& pc : kPerturbCases) {
+    cases.push_back({pc.name, [pc](bool poll) {
+                       const PerturbRun r = run_perturb_case(pc, true, poll);
+                       return OracleRun{
+                           testing::blame_record(*r.chip->attribution()),
+                           memory_path_ticks(*r.chip)};
+                     }});
+  }
+  for (const dram::PinCase& pc : dram::kPinCases) {
+    if (!pc.attribution) {
+      continue;
+    }
+    std::string name = std::string("Controller_") + pc.name;
+    std::replace(name.begin(), name.end(), '/', '_');
+    cases.push_back({name, [pc](bool poll) {
+                       dram::PinResult r = dram::run_pin_case(pc, poll);
+                       return OracleRun{std::move(r.blame), r.ticks};
+                     }});
+  }
+  return cases;
+}
+
+class AttributionOracle : public ::testing::TestWithParam<OracleCase> {};
+
+TEST_P(AttributionOracle, SpanChargingMatchesPerCycleCharging) {
+  const OracleRun polled = GetParam().run(true);
+  const OracleRun slept = GetParam().run(false);
+  ASSERT_GT(polled.blame.size(), 1u);
+  EXPECT_EQ(polled.blame.back(), 0u);  // the record ends with the residual
+  EXPECT_EQ(slept.blame, polled.blame);
+  EXPECT_LT(slept.ticks, polled.ticks);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, AttributionOracle, ::testing::ValuesIn(oracle_cases()),
+    [](const ::testing::TestParamInfo<OracleCase>& p) {
+      return p.param.name;
+    });
+
+/// Slave with one slot that signals space: while it holds a line, every
+/// other admitted head waits on it with the crossbar asleep.
+class OneSlotSlave final : public axi::SlaveIf {
+ public:
+  OneSlotSlave(sim::Simulator& sim, axi::ResponseSink& sink)
+      : sim_(sim), sink_(sink) {}
+  [[nodiscard]] bool can_accept(const axi::LineRequest&,
+                                sim::TimePs) const override {
+    return !busy_;
+  }
+  void accept(axi::LineRequest line, sim::TimePs now) override {
+    busy_ = true;
+    sim_.schedule_at(now + 50'000, [this, line] {
+      busy_ = false;
+      sink_.space_freed();
+      sink_.line_done(line, sim_.now());
+    });
+  }
+  [[nodiscard]] bool signals_space() const override { return true; }
+
+ private:
+  sim::Simulator& sim_;
+  axi::ResponseSink& sink_;
+  bool busy_ = false;
+};
+
+/// Gate that never signals, shut by the test.
+struct SilentGate final : axi::TxnGate {
+  bool shut = false;
+  [[nodiscard]] bool allow(const axi::LineRequest&,
+                           sim::TimePs) const override {
+    return !shut;
+  }
+  void on_grant(const axi::LineRequest&, sim::TimePs) override {}
+};
+
+// A head the gates admit but the slave refuses loses arbitration to the
+// line the slave holds. A port stall, or a gate that never signals
+// shutting, turns that blame to self without a grant or a wake signal;
+// the sleeping crossbar must see both on the very next edge, as a polling
+// one does.
+TEST(AttributionOracle, ContestedHeadTurnsSelfWithoutAGrant) {
+  const auto run = [](bool poll, bool stall) {
+    sim::Simulator sim;
+    sim::ClockDomain clk{"x", 1000};
+    axi::Interconnect xbar(sim, clk, axi::InterconnectConfig{"xbar", 1});
+    axi::MasterPort& a = xbar.add_master(axi::MasterPortConfig{});
+    axi::MasterPort& b = xbar.add_master(axi::MasterPortConfig{});
+    OneSlotSlave slave(sim, xbar);
+    xbar.set_slave(slave);
+    SilentGate gate;
+    if (!stall) {
+      b.add_gate(gate);
+    }
+    telemetry::MetricsRegistry reg;
+    AttributionEngine eng(reg, sim::kPsPerUs);
+    eng.register_master(0, "a");
+    eng.register_master(1, "b");
+    xbar.set_attribution(&eng);
+    const auto poller = poll ? testing::force_poll(xbar, &eng) : nullptr;
+    a.set_completion_handler([](const axi::Transaction&) {});
+    b.set_completion_handler([](const axi::Transaction&) {});
+    a.issue(axi::Dir::kRead, 0x0, 64);
+    b.issue(axi::Dir::kRead, 0x1000, 64);
+    if (stall) {
+      sim.schedule_at(25'000, [&b] { b.inject_stall(5'000); });
+    } else {
+      sim.schedule_at(35'000, [&gate] { gate.shut = true; });
+      sim.schedule_at(45'000, [&gate] { gate.shut = false; });
+    }
+    sim.run_for(sim::kPsPerUs);
+    eng.finish(sim.now());
+    EXPECT_EQ(b.stats().txns_completed.value(), 1u);
+    return std::pair(testing::blame_record(eng),
+                     eng.total(1, 1, Cause::kSelf).stall_ps);
+  };
+  for (const bool stall : {true, false}) {
+    const auto [polled, polled_self] = run(true, stall);
+    const auto [slept, slept_self] = run(false, stall);
+    EXPECT_GT(polled_self, 0u) << (stall ? "stall" : "gate");
+    EXPECT_EQ(slept, polled) << (stall ? "stall" : "gate");
+  }
+}
+
+// Host cost of attribution: on the fgqos_sim --scheme hw platform the
+// memory path sleeps with blame on nearly as much as with it off. A
+// change that makes attribution poll again multiplies the kernel's tick
+// count (5x when it did) on any machine.
+TEST(AttributionSoc, BlameKeepsTheMemoryPathAsleep) {
+  const auto ticks = [](bool blame) {
+    scenario::Spec spec;
+    spec.platform = soc::preset_by_name("zcu102");
+    spec.aggressors = scenario::standard_aggressors(4, wl::Pattern::kSeqRead,
+                                                    100);
+    spec.scheme = scenario::Scheme::kHw;
+    spec.regulated_ports = scenario::first_ports(4);
+    cpu::CoreConfig cc;
+    cc.name = "critical";
+    spec.critical =
+        scenario::Critical{cc, [] { return wl::make_pointer_chase({}); }};
+    scenario::Observers obs;
+    obs.blame_window_ps = blame ? 100 * sim::kPsPerUs : 0;
+    scenario::Scenario s = scenario::build(spec, obs, 100);
+    s.chip->run_for(sim::kPsPerMs);
+    s.finish();
+    return s.chip->sim().tick_count();
+  };
+  const std::uint64_t off = ticks(false);
+  const std::uint64_t on = ticks(true);
+  EXPECT_LE(static_cast<double>(on), 1.5 * static_cast<double>(off))
+      << "ticks with blame " << on << ", without " << off;
+}
 
 // The sweep merges pre-rendered blame rows in submission order, so the
 // combined CSV must be byte-identical whatever the worker count.

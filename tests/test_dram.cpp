@@ -8,9 +8,11 @@
 #include <utility>
 #include <vector>
 
+#include "controller_pins.hpp"
 #include "dram/address_mapper.hpp"
 #include "dram/bank.hpp"
 #include "dram/controller.hpp"
+#include "forced_poll.hpp"
 #include "telemetry/attribution.hpp"
 #include "telemetry/metrics.hpp"
 #include "util/config_error.hpp"
@@ -270,27 +272,10 @@ TEST(Controller, WriteDrainServicesWritesUnderReadLoad) {
 // write-drain watermark crossings, the starvation guard, a refresh storm and
 // the attribution pass. Ticks stay out of the digest: how often the
 // controller wakes is a host-cost property, not a simulated outcome. The
-// recorded counts are those of a controller that ticks every cycle while
-// work is queued; a napping controller must fire fewer with the same
-// digest, and one with attribution on (which never naps) exactly as many.
+// recorded counts are those of a controller forced to tick every cycle
+// while work is queued (testing::ForcedPoll); a napping controller,
+// attribution on or off, must fire fewer with the same digest.
 // --------------------------------------------------------------------------
-
-struct PinCase {
-  const char* name;
-  PagePolicy page;
-  MappingPolicy mapping;
-  std::uint64_t starvation_cycles;
-  std::uint32_t refresh_divisor;
-  bool attribution;
-  std::uint64_t seed;
-  std::uint64_t digest;
-  std::uint64_t ticks;
-};
-
-struct PinResult {
-  std::uint64_t digest;
-  std::uint64_t ticks;
-};
 
 void fnv_mix(std::uint64_t& h, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
@@ -299,9 +284,17 @@ void fnv_mix(std::uint64_t& h, std::uint64_t v) {
   }
 }
 
-/// \p poll attaches an attribution engine even when the case does not hash
-/// blame, which keeps the controller from napping.
-PinResult run_pin_case(const PinCase& pc, bool poll = false) {
+/// When \p poll, forces \p ctrl to tick (and \p blame to charge) every
+/// cycle while work is queued.
+std::unique_ptr<testing::ForcedPoll> force_poll(
+    Controller& ctrl, bool poll,
+    telemetry::AttributionEngine* blame = nullptr) {
+  return poll ? testing::force_poll(ctrl, blame) : nullptr;
+}
+
+}  // namespace
+
+PinResult run_pin_case(const PinCase& pc, bool poll) {
   ControllerConfig cfg;
   cfg.page_policy = pc.page;
   cfg.mapping = pc.mapping;
@@ -310,12 +303,14 @@ PinResult run_pin_case(const PinCase& pc, bool poll = false) {
   constexpr axi::MasterId kMasters = 3;
   telemetry::MetricsRegistry reg;
   telemetry::AttributionEngine eng(reg, sim::kPsPerUs);
-  if (pc.attribution || poll) {
+  if (pc.attribution) {
     for (axi::MasterId m = 0; m < kMasters; ++m) {
       eng.register_master(m, std::string(1, static_cast<char>('a' + m)));
     }
     f.ctrl.set_attribution(&eng);
   }
+  const auto poller =
+      force_poll(f.ctrl, poll, pc.attribution ? &eng : nullptr);
   f.ctrl.set_refresh_interval_divisor(pc.refresh_divisor);
 
   // Each master streams sequentially and sometimes jumps anywhere in the
@@ -378,12 +373,14 @@ PinResult run_pin_case(const PinCase& pc, bool poll = false) {
     }
     fnv_mix(h, eng.residual_ps());
   }
-  return {h, f.ctrl.ticks_fired()};
+  return {h, f.ctrl.ticks_fired(),
+          pc.attribution ? testing::blame_record(eng)
+                         : std::vector<std::uint64_t>{}};
 }
 
 using MP = MappingPolicy;
 using PP = PagePolicy;
-const PinCase kPinCases[] = {
+const std::vector<PinCase> kPinCases = {
     {"open/interleaved", PP::kOpen, MP::kBankInterleaved, 1200, 1, false,
      1, 0x23093fc4af67def3, 13938},
     {"closed/interleaved", PP::kClosed, MP::kBankInterleaved, 1200, 1,
@@ -408,26 +405,22 @@ const PinCase kPinCases[] = {
      64, 4, true, 11, 0x2dfd566bebb10c73, 13899},
 };
 
+namespace {
+
 TEST(ControllerPinned, SeededStreamsMatchRecordedDigests) {
   for (const PinCase& pc : kPinCases) {
     const PinResult r = run_pin_case(pc);
     EXPECT_EQ(r.digest, pc.digest) << pc.name;
-    if (pc.attribution) {
-      EXPECT_EQ(r.ticks, pc.ticks) << pc.name;
-    } else {
-      EXPECT_LT(r.ticks, pc.ticks) << pc.name;
-    }
+    EXPECT_LT(r.ticks, pc.ticks) << pc.name;
   }
 }
 
-// The nap is invisible: the same streams on a controller kept awake by an
-// attached attribution engine complete identically. These streams cross
-// both drain watermarks, the starvation guard and a refresh storm.
+// The nap is invisible: the same streams on a controller forced to tick
+// every cycle complete identically (and, with attribution on, charge the
+// same blame). These streams cross both drain watermarks, the starvation
+// guard and a refresh storm.
 TEST(ControllerPinned, NapIsInvisible) {
   for (const PinCase& pc : kPinCases) {
-    if (pc.attribution) {
-      continue;
-    }
     const PinResult polled = run_pin_case(pc, true);
     EXPECT_EQ(polled.digest, pc.digest) << pc.name;
     EXPECT_EQ(polled.ticks, pc.ticks) << pc.name;
@@ -484,12 +477,7 @@ std::vector<std::pair<axi::Addr, sim::TimePs>> run_tick_fed(
   TickFeeder feeder(sim, clk, std::move(lines));
   Controller ctrl(sim, clk, cfg, sink);
   feeder.ctrl = &ctrl;
-  telemetry::MetricsRegistry reg;
-  telemetry::AttributionEngine eng(reg, sim::kPsPerUs);
-  if (poll) {
-    eng.register_master(0, "a");
-    ctrl.set_attribution(&eng);
-  }
+  const auto poller = force_poll(ctrl, poll);
   sim.run_for(20 * sim::kPsPerUs);
   EXPECT_EQ(ctrl.read_queue_size() + ctrl.write_queue_size(), 0u);
   return sink.done;
@@ -528,12 +516,7 @@ TEST(ControllerPinned, NapIsInvisibleToTickDrivenAccepts) {
 TEST(ControllerPinned, RefreshStormCutsANapShort) {
   const auto run = [](sim::Cycles k, bool poll) {
     ControllerFixture f;
-    telemetry::MetricsRegistry reg;
-    telemetry::AttributionEngine eng(reg, sim::kPsPerUs);
-    if (poll) {
-      eng.register_master(0, "a");
-      f.ctrl.set_attribution(&eng);
-    }
+    const auto poller = force_poll(f.ctrl, poll);
     const TimingConfig& t = f.cfg.timing;
     const sim::TimePs period = t.period_ps();
     f.sim.run_until((t.tREFI - 20) * period);
