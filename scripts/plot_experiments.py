@@ -6,17 +6,18 @@ Usage:
     cd build/bench && for b in ./bench_exp*; do $b; done
     python3 ../../scripts/plot_experiments.py build/bench --out plots/
 
-    # per-hop latency breakdown from a --metrics-json snapshot
-    python3 scripts/plot_experiments.py hops metrics.json --out plots/
+    # per-hop latency breakdown from a run bundle's metrics snapshot
+    # (fgqos_sim --out run)
+    python3 scripts/plot_experiments.py hops run/metrics.json --out plots/
 
-    # victim x aggressor interference heatmap from a --blame-csv file
-    python3 scripts/plot_experiments.py blame blame.csv --out plots/
-    python3 scripts/plot_experiments.py blame blame.csv --cause dram_refresh
+    # victim x aggressor interference heatmap (fgqos_sim --out run --blame)
+    python3 scripts/plot_experiments.py blame run/blame.csv --out plots/
+    python3 scripts/plot_experiments.py blame run/blame.csv --cause dram_refresh
 
-    # per-window metric trajectories from a --timeseries-csv file, with
-    # the decision journal's actions overlaid as vertical markers
-    python3 scripts/plot_experiments.py timeseries ts.csv \
-        --series 'qos.*.credit,port.cpu.*' --journal decisions.jsonl
+    # per-window metric trajectories (--timeseries), with the decision
+    # journal's actions (--journal) overlaid as vertical markers
+    python3 scripts/plot_experiments.py timeseries run/timeseries.csv \
+        --series 'qos.*.credit,port.cpu.*' --journal run/journal.jsonl
 
 Produces one PNG per known experiment CSV. Only matplotlib is required;
 files that are absent are skipped, so partial runs plot fine.
@@ -115,7 +116,7 @@ HOPS = ["gate", "xbar", "dram_queue", "dram_service", "response"]
 
 
 def load_hop_breakdown(path, stat):
-    """Reads a --metrics-json snapshot; returns {port: [stat per hop in ns]}."""
+    """Reads a bundle's metrics.json; returns {port: [stat per hop in ns]}."""
     with open(path) as fh:
         doc = json.load(fh)
     ports = {}
@@ -135,7 +136,7 @@ def plot_hops(args, plt):
     breakdown = load_hop_breakdown(args.metrics_json, stat)
     if not breakdown:
         sys.exit(f"no port.<name>.hop.* histograms in {args.metrics_json} "
-                 "(run with --metrics-json and lifecycle metrics enabled)")
+                 "(run fgqos_sim with --out; its metrics.json has them)")
     fig, ax = plt.subplots(figsize=(6, 4))
     port_names = sorted(breakdown)
     bottoms = [0.0] * len(port_names)
@@ -154,7 +155,7 @@ def plot_hops(args, plt):
 
 
 def load_blame(path, cause=None, point=None):
-    """Reads a --blame-csv file; returns (victims, aggressors, matrix).
+    """Reads a bundle's blame.csv; returns (victims, aggressors, matrix).
 
     Sums the cumulative `total` rows over causes (or one cause), so both
     fgqos_sim output and one point of a merged fgqos_sweep file (selected
@@ -184,7 +185,8 @@ def plot_blame(args, plt):
                                              args.point)
     if not victims:
         sys.exit(f"no matching blame rows in {args.blame_csv} "
-                 "(run with --blame-csv; check --cause/--point spelling)")
+                 "(run with --out DIR --blame; check --cause/--point "
+                 "spelling)")
     fig, ax = plt.subplots(figsize=(5.5, 4.5))
     im = ax.imshow(matrix, cmap="YlOrRd", aspect="auto")
     ax.set_xticks(range(len(aggressors)), aggressors, rotation=30, fontsize=8)
@@ -210,7 +212,7 @@ def plot_blame(args, plt):
 
 
 def load_timeseries(path, series_globs=None, point=None):
-    """Reads a --timeseries-csv file; returns {series: (t_us, values)}.
+    """Reads a bundle's timeseries.csv; returns {series: (t_us, values)}.
 
     Skips `#` manifest comments and handles both fgqos_sim output and a
     merged fgqos_sweep file (leading `point` column, selected with
@@ -240,7 +242,7 @@ def load_timeseries(path, series_globs=None, point=None):
 
 
 def load_journal(path):
-    """Reads a --journal JSONL file; returns [(t_us, component, action)].
+    """Reads a bundle's journal.jsonl; returns [(t_us, component, action)].
 
     The manifest line and the `dropped` trailer carry no `seq` key and
     are skipped.
@@ -263,7 +265,7 @@ def plot_timeseries(args, plt):
     data = load_timeseries(args.timeseries_csv, args.series, args.point)
     if not data:
         sys.exit(f"no matching series in {args.timeseries_csv} "
-                 "(run with --timeseries-csv; check --series/--point)")
+                 "(run with --out DIR --timeseries; check --series/--point)")
     fig, ax = plt.subplots(figsize=(7, 4))
     for name in sorted(data):
         xs, ys = data[name]
@@ -292,8 +294,8 @@ def load_serving(path, tenant=None):
     """Reads a serving CSV; returns ({group: (x, attain, p99_us)}, xlabel).
 
     Handles both bench_serving's serving_defense.csv (one line per QoS
-    scheme, x = offered load in kqps) and a merged fgqos_sweep
-    --serving-csv file (one line per tenant, x = the sweep-point knob
+    scheme, x = offered load in kqps) and the merged serving.csv of an
+    fgqos_sweep bundle (one line per tenant, x = the sweep-point knob
     value, optionally filtered with --tenant).
     """
     with open(path, newline="") as fh:
@@ -328,7 +330,7 @@ def plot_serving(args, plt):
     if not series:
         hint = f" for tenant '{args.tenant}'" if args.tenant else ""
         sys.exit(f"no serving rows in {args.serving_csv}{hint} (run "
-                 "bench_serving, or fgqos_sweep with --serving-csv)")
+                 "bench_serving, or fgqos_sweep --serving-spec ... --out DIR)")
     fig, (ax_att, ax_p99) = plt.subplots(1, 2, figsize=(9, 4))
     for key in sorted(series):
         xs, att, p99 = series[key]
@@ -396,7 +398,7 @@ def plot_bank(args, plt):
 
 
 def load_profile(path):
-    """Reads a host-profile artifact (--profile-json output, or the
+    """Reads a host-profile artifact (a bundle's profile.json, or the
     'profile' section spliced into BENCH_micro.json, or a folded-stack
     file); returns (tags, total_cycles) with tags = {name: cycles}."""
     with open(path) as f:
@@ -475,17 +477,19 @@ def main():
         ap = argparse.ArgumentParser(
             prog="plot_experiments.py timeseries",
             description="per-window metric trajectories from a "
-                        "--timeseries-csv file, optionally overlaying the "
-                        "--journal decision timeline")
+                        "bundle's timeseries.csv, optionally overlaying the "
+                        "journal.jsonl decision timeline")
         ap.add_argument("timeseries_csv",
-                        help="fgqos_sim/fgqos_sweep --timeseries-csv")
+                        help="timeseries.csv of an fgqos_sim/fgqos_sweep "
+                             "bundle (--out DIR --timeseries)")
         ap.add_argument("--series", default=None,
                         help="comma-separated series globs "
                              "(e.g. 'qos.*.credit,port.cpu.*')")
         ap.add_argument("--point", default=None,
                         help="sweep point to plot (merged sweep CSVs only)")
         ap.add_argument("--journal", default=None,
-                        help="--journal JSONL; decisions drawn as vlines")
+                        help="journal.jsonl of the same bundle; decisions "
+                             "drawn as vlines")
         ap.add_argument("--out", default="plots", help="output directory")
         args = ap.parse_args(sys.argv[2:])
         plot_timeseries(args, import_pyplot())
@@ -496,9 +500,10 @@ def main():
             prog="plot_experiments.py serving",
             description="SLO attainment and request-p99 vs. load from a "
                         "serving CSV (bench_serving's serving_defense.csv "
-                        "or fgqos_sweep --serving-csv)")
+                        "or a sweep bundle's serving.csv)")
         ap.add_argument("serving_csv",
-                        help="serving_defense.csv or --serving-csv output")
+                        help="serving_defense.csv or a sweep bundle's "
+                             "serving.csv")
         ap.add_argument("--tenant", default=None,
                         help="plot only this tenant (sweep CSVs only)")
         ap.add_argument("--out", default="plots", help="output directory")
@@ -522,8 +527,8 @@ def main():
     if len(sys.argv) > 1 and sys.argv[1] == "profile":
         ap = argparse.ArgumentParser(
             prog="plot_experiments.py profile",
-            description="host hot-path attribution from a --profile-json "
-                        "or --profile-folded artifact: top-tag cycle-share "
+            description="host hot-path attribution from a bundle's "
+                        "profile.json or profile.folded: top-tag cycle-share "
                         "bars, or share deltas against a --baseline profile")
         ap.add_argument("profile",
                         help="profile JSON or folded-stack file")
@@ -540,8 +545,9 @@ def main():
         ap = argparse.ArgumentParser(
             prog="plot_experiments.py blame",
             description="victim x aggressor stall heatmap from a "
-                        "--blame-csv file")
-        ap.add_argument("blame_csv", help="fgqos_sim/fgqos_sweep --blame-csv")
+                        "bundle's blame.csv")
+        ap.add_argument("blame_csv", help="blame.csv of an fgqos_sim/"
+                                          "fgqos_sweep bundle (--blame)")
         ap.add_argument("--cause", default=None,
                         help="restrict to one cause (e.g. dram_bus_turnaround)")
         ap.add_argument("--point", default=None,
@@ -554,7 +560,8 @@ def main():
     if len(sys.argv) > 1 and sys.argv[1] == "hops":
         ap = argparse.ArgumentParser(
             prog="plot_experiments.py hops",
-            description="per-hop latency breakdown from a --metrics-json file")
+            description="per-hop latency breakdown from a bundle's "
+                        "metrics.json")
         ap.add_argument("metrics_json", help="metrics JSON snapshot")
         ap.add_argument("--stat", default="mean",
                         choices=["mean", "p50", "p90", "p99", "p999", "max"])

@@ -17,10 +17,8 @@
 #include "qos/regfile.hpp"               // IWYU pragma: export
 #include "qos/regulator.hpp"             // IWYU pragma: export
 #include "qos/soft_memguard.hpp"         // IWYU pragma: export
-#include "qos/vcd_tap.hpp"               // IWYU pragma: export
 #include "soc/presets.hpp"               // IWYU pragma: export
 #include "soc/soc.hpp"                   // IWYU pragma: export
 #include "workload/cpu_workloads.hpp"    // IWYU pragma: export
 #include "workload/suite.hpp"            // IWYU pragma: export
-#include "workload/trace.hpp"            // IWYU pragma: export
 #include "workload/traffic_gen.hpp"      // IWYU pragma: export

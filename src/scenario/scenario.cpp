@@ -1,6 +1,7 @@
 #include "scenario/scenario.hpp"
 
 #include <algorithm>
+#include <filesystem>
 
 #include "qos/envelope.hpp"
 #include "util/config_error.hpp"
@@ -19,11 +20,6 @@ class BlockAllGate final : public axi::TxnGate {
   }
   void on_grant(const axi::LineRequest&, sim::TimePs) override {}
 };
-
-bool sla_active(const qos::SlaSpec& s) {
-  return s.min_bandwidth_mbps > 0 || s.max_p99_latency_ps > 0 ||
-         s.max_interference_fraction > 0;
-}
 
 /// Creates the scheme's own objects (before any aggressor exists).
 void add_scheme(Scenario& s, const Spec& spec) {
@@ -145,31 +141,16 @@ void wire_observers(Scenario& s, const Spec& spec, const Observers& obs) {
 
 }  // namespace
 
-Exports Exports::for_point(const std::string& knob,
-                           const std::string& value) const {
-  Exports e = *this;
-  for (std::string* p :
-       {&e.metrics_json, &e.metrics_csv, &e.timeseries_csv,
-        &e.timeseries_json, &e.journal, &e.blame_csv, &e.blame_json,
-        &e.profile_json, &e.profile_folded}) {
-    *p = point_path(*p, knob, value);
-  }
-  return e;
+bool sla_active(const qos::SlaSpec& s) {
+  return s.min_bandwidth_mbps > 0 || s.max_p99_latency_ps > 0 ||
+         s.max_interference_fraction > 0;
 }
 
-std::string point_path(const std::string& path, const std::string& knob,
-                       const std::string& value) {
-  if (path.empty()) {
-    return path;
-  }
-  const std::string tag = "." + knob + value;
-  const std::size_t slash = path.rfind('/');
-  const std::size_t name = slash == std::string::npos ? 0 : slash + 1;
-  const std::size_t dot = path.rfind('.');
-  if (dot == std::string::npos || dot <= name) {
-    return path + tag;
-  }
-  return path.substr(0, dot) + tag + path.substr(dot);
+void make_bundle_dir(const std::string& dir) {
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  config_check(!ec, "cannot create bundle directory '" + dir + "': " +
+                        ec.message());
 }
 
 std::vector<wl::TrafficGenConfig> standard_aggressors(
@@ -230,64 +211,32 @@ telemetry::ProfileSnapshot Scenario::profile() {
   return chip->profiler()->snapshot();
 }
 
-void Scenario::write(const Exports& out,
+void Scenario::write(const std::string& dir,
                      const telemetry::RunManifest& manifest,
-                     std::FILE* log) {
-  const auto wrote = [log](const char* what, const std::string& path,
-                           const std::string& note = "") {
-    if (log != nullptr) {
-      std::fprintf(log, "\n%s written to %s%s\n", what, path.c_str(),
-                   note.c_str());
-    }
-  };
-  if (!out.metrics_json.empty() || !out.metrics_csv.empty()) {
-    telemetry::MetricsRegistry& reg = chip->collect_metrics();
-    if (out.drop_host_timing) {
-      reg.erase_prefix("sim.wall");
-      reg.erase_prefix("profile.");
-    }
-    if (!out.metrics_json.empty()) {
-      reg.save_json(out.metrics_json, chip->now(), &manifest);
-      wrote("metrics JSON", out.metrics_json);
-    }
-    if (!out.metrics_csv.empty()) {
-      reg.save_csv(out.metrics_csv, &manifest);
-      wrote("metrics CSV", out.metrics_csv);
-    }
+                     bool drop_host_timing) {
+  const std::string base = dir + "/";
+  telemetry::MetricsRegistry& reg = chip->collect_metrics();
+  if (drop_host_timing) {
+    reg.erase_prefix("sim.wall");
+    reg.erase_prefix("profile.");
   }
-  if (!out.timeseries_csv.empty()) {
-    chip->timeseries()->save_csv(out.timeseries_csv, &manifest);
-    wrote("time-series CSV", out.timeseries_csv,
-          " (" + std::to_string(chip->timeseries()->windows_sampled()) +
-              " windows)");
+  reg.save_json(base + "metrics.json", chip->now(), &manifest);
+  reg.save_csv(base + "metrics.csv", &manifest);
+  if (telemetry::AttributionEngine* attr = chip->attribution()) {
+    attr->save_csv(base + "blame.csv");
+    attr->save_json(base + "blame.json");
   }
-  if (!out.timeseries_json.empty()) {
-    chip->timeseries()->save_json(out.timeseries_json, &manifest);
-    wrote("time-series JSON", out.timeseries_json);
+  if (telemetry::TimeSeriesRecorder* ts = chip->timeseries()) {
+    ts->save_csv(base + "timeseries.csv", &manifest);
+    ts->save_json(base + "timeseries.json", &manifest);
   }
-  if (!out.journal.empty()) {
-    chip->journal()->save_jsonl(out.journal, &manifest);
-    wrote("decision journal", out.journal,
-          " (" + std::to_string(chip->journal()->size()) + " entries)");
+  if (telemetry::DecisionJournal* j = chip->journal()) {
+    j->save_jsonl(base + "journal.jsonl", &manifest);
   }
-  if (!out.blame_csv.empty()) {
-    chip->attribution()->save_csv(out.blame_csv);
-    wrote("blame CSV", out.blame_csv);
-  }
-  if (!out.blame_json.empty()) {
-    chip->attribution()->save_json(out.blame_json);
-    wrote("blame JSON", out.blame_json);
-  }
-  if (!out.profile_json.empty() || !out.profile_folded.empty()) {
+  if (chip->profiler() != nullptr) {
     const telemetry::ProfileSnapshot prof = profile();
-    if (!out.profile_json.empty()) {
-      prof.save_json(out.profile_json, &manifest);
-      wrote("profile JSON", out.profile_json);
-    }
-    if (!out.profile_folded.empty()) {
-      prof.save_folded(out.profile_folded);
-      wrote("folded stacks", out.profile_folded);
-    }
+    prof.save_json(base + "profile.json", &manifest);
+    prof.save_folded(base + "profile.folded");
   }
 }
 

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -87,31 +86,12 @@ struct Observers {
   bool profile = false;  ///< host profiler
 };
 
-/// Files one run writes ("" = not written).
-struct Exports {
-  std::string metrics_json;
-  std::string metrics_csv;
-  std::string timeseries_csv;
-  std::string timeseries_json;
-  std::string journal;
-  std::string blame_csv;
-  std::string blame_json;
-  std::string profile_json;
-  std::string profile_folded;
-  /// Drop the host-timing sim.wall* and profile.* metrics so equal
-  /// scenarios write equal snapshots.
-  bool drop_host_timing = false;
+/// True when any bound of \p s is set.
+[[nodiscard]] bool sla_active(const qos::SlaSpec& s);
 
-  /// Every path tagged for one sweep point (see point_path).
-  [[nodiscard]] Exports for_point(const std::string& knob,
-                                  const std::string& value) const;
-};
-
-/// "out.json" + budget, 400 -> "out.budget400.json". Only a dot in the
-/// last path component starts the extension: "d.x/m" -> "d.x/m.budget400".
-[[nodiscard]] std::string point_path(const std::string& path,
-                                     const std::string& knob,
-                                     const std::string& value);
+/// Creates run-bundle directory \p dir and its parents; throws
+/// ConfigError when it cannot.
+void make_bundle_dir(const std::string& dir);
 
 /// The standard aggressor set: generator i is "agg<i>" at base
 /// 0x8000'0000 + i * stride_bytes with seed base_seed + i; the first
@@ -147,9 +127,14 @@ struct Scenario {
   void finish();
   /// Host-profile snapshot, arena peaks included (needs Observers::profile).
   [[nodiscard]] telemetry::ProfileSnapshot profile();
-  /// Writes \p out stamped with \p manifest; names each file on \p log.
-  void write(const Exports& out, const telemetry::RunManifest& manifest,
-             std::FILE* log = nullptr);
+  /// Writes the run bundle into the existing directory \p dir, each file
+  /// stamped with \p manifest: metrics.{json,csv}, then blame.{csv,json},
+  /// timeseries.{csv,json}, journal.jsonl and profile.{json,folded} for
+  /// each observer that ran (trace.json is written by the trace itself).
+  /// \p drop_host_timing drops the sim.wall* and profile.* metrics so
+  /// equal scenarios write equal snapshots.
+  void write(const std::string& dir, const telemetry::RunManifest& manifest,
+             bool drop_host_timing = false);
 };
 
 /// Builds \p spec with \p obs wired. \p seed seeds the serving tenants and

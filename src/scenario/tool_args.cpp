@@ -56,13 +56,13 @@ telemetry::RunManifest ToolArgs::manifest(const std::string& tool,
 
 ToolArgs parse_tool_args(const util::ArgParser& args,
                          std::size_t default_aggressors,
-                         const std::string& default_scheme) {
+                         const std::string& default_scheme, bool sla) {
   ToolArgs t;
   t.scheme = args.get("scheme", default_scheme);
   static_cast<void>(tool_scheme(t.scheme));
   t.aggressors = args.get_count("aggressors", default_aggressors);
   t.budget_mbps = args.get_double("budget-mbps", 400);
-  t.window_us = args.get_double("window-us", 1);
+  t.window_us = args.get_positive("window-us", 1);
   t.seed = static_cast<std::uint64_t>(args.get_int("seed", 100));
   t.mapping = args.get("mapping", "");
   if (!t.mapping.empty()) {
@@ -88,42 +88,52 @@ ToolArgs parse_tool_args(const util::ArgParser& args,
     t.envelope = qos::CertifiedEnvelope::from_file(p);
   }
 
-  Exports& e = t.exports;
-  e.metrics_json = args.get("metrics-json");
-  e.metrics_csv = args.get("metrics-csv");
-  e.timeseries_csv = args.get("timeseries-csv");
-  e.timeseries_json = args.get("timeseries-json");
-  e.journal = args.get("journal");
-  e.blame_csv = args.get("blame-csv");
-  e.blame_json = args.get("blame-json");
-  e.profile_json = args.get("profile-json");
-  e.profile_folded = args.get("profile-folded");
-
+  t.out = args.get("out");
   Observers& o = t.observers;
-  o.trace_path = args.get("trace");
+  const auto observer = [&](const char* flag) {
+    const bool on = args.has(flag);
+    config_check(!on || !t.out.empty(),
+                 std::string("--") + flag + " requires --out");
+    return on;
+  };
+  const auto tuning = [&](const char* flag, bool observer_on,
+                          const char* needs) {
+    config_check(observer_on || !args.has(flag),
+                 std::string("--") + flag + " requires " + needs);
+  };
+  o.lifecycle_metrics = !t.out.empty();
+  if (observer("trace")) {
+    o.trace_path = t.out + "/trace.json";
+  }
+  tuning("trace-filter", !o.trace_path.empty(), "--trace");
   o.trace_filter = args.get("trace-filter");
-  config_check(!o.trace_path.empty() || o.trace_filter.empty(),
-               "--trace-filter requires --trace");
-  o.lifecycle_metrics = !e.metrics_json.empty() || !e.metrics_csv.empty();
-  const double blame_window_us = args.get_double("blame-window-us", 100);
-  if (!e.blame_csv.empty() || !e.blame_json.empty()) {
-    o.blame_window_ps = static_cast<sim::TimePs>(blame_window_us * 1e6);
+
+  if (sla) {
+    o.sla.min_bandwidth_mbps = args.get_double("sla-min-mbps", 0);
+    o.sla.max_p99_latency_ps =
+        static_cast<sim::TimePs>(args.get_double("sla-p99-us", 0) * 1e6);
+    o.sla.max_interference_fraction = args.get_double("sla-stall-frac", 0);
   }
-  const std::string ts_filter = args.get("timeseries-filter");
-  const double ts_window_us = args.get_double("timeseries-window-us", 100);
-  if (!e.timeseries_csv.empty() || !e.timeseries_json.empty()) {
+  const bool attribution = observer("blame") || sla_active(o.sla);
+  tuning("blame-window-us", attribution,
+         sla ? "--blame or an --sla-* bound" : "--blame");
+  if (attribution) {
+    o.blame_window_ps = static_cast<sim::TimePs>(
+        args.get_positive("blame-window-us", 100) * 1e6);
+  }
+
+  const bool timeseries = observer("timeseries");
+  tuning("timeseries-filter", timeseries, "--timeseries");
+  tuning("timeseries-window-us", timeseries, "--timeseries");
+  if (timeseries) {
     telemetry::TimeSeriesConfig tc;
-    tc.window_ps = static_cast<sim::TimePs>(ts_window_us * 1e6);
-    tc.filter = ts_filter;
+    tc.window_ps = static_cast<sim::TimePs>(
+        args.get_positive("timeseries-window-us", 100) * 1e6);
+    tc.filter = args.get("timeseries-filter");
     o.timeseries = tc;
-  } else {
-    config_check(ts_filter.empty() && !args.has("timeseries-window-us"),
-                 "--timeseries-filter/--timeseries-window-us require "
-                 "--timeseries-csv or --timeseries-json");
   }
-  o.journal = e.journal.empty() ? Journal::kOff : Journal::kRun;
-  o.profile = args.has("profile") || !e.profile_json.empty() ||
-              !e.profile_folded.empty();
+  o.journal = observer("journal") ? Journal::kRun : Journal::kOff;
+  o.profile = observer("profile");
   return t;
 }
 

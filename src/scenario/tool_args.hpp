@@ -18,9 +18,11 @@ namespace fgqos::scenario {
 
 /// Shared options: --scheme --aggressors --budget-mbps --window-us --seed
 /// --mapping --bank-telemetry --aggressor-footprint-mb, the spec files
-/// (--fault-spec --serving-spec --bank-budget-spec --envelope-spec) and the
-/// observer/export flags (--trace* --metrics-* --blame-* --timeseries-*
-/// --journal --profile*).
+/// (--fault-spec --serving-spec --bank-budget-spec --envelope-spec), the
+/// run bundle (--out DIR), the observer switches that fill it (--trace
+/// --blame --timeseries --journal --profile) and their tuning flags
+/// (--trace-filter --blame-window-us --timeseries-filter
+/// --timeseries-window-us).
 struct ToolArgs {
   std::string scheme;  ///< none | hw | sw
   std::size_t aggressors = 0;
@@ -34,8 +36,10 @@ struct ToolArgs {
   std::optional<wl::ServingSpec> serving;
   std::optional<qos::BankBudgetSpec> bank_budgets;
   std::optional<qos::CertifiedEnvelope> envelope;
+  std::string out;  ///< run-bundle directory ("" = no files)
+  /// Lifecycle metrics are on with a bundle; the trace, when on, goes to
+  /// out/trace.json.
   Observers observers;
-  Exports exports;
 
   /// A Spec on \p platform carrying these choices: mapping, bank
   /// telemetry, scheme, budget, window and the loaded spec files
@@ -61,9 +65,13 @@ template <typename File>
 }
 
 /// Parses and validates the shared options; the defaults of --aggressors
-/// and --scheme are the tool's. Throws ConfigError with the flag named.
+/// and --scheme are the tool's. With \p sla the SLA watchdog flags
+/// (--sla-min-mbps --sla-p99-us --sla-stall-frac) are read too; an active
+/// SLA turns attribution on without --blame. Throws ConfigError with the
+/// flag named.
 [[nodiscard]] ToolArgs parse_tool_args(const util::ArgParser& args,
                                        std::size_t default_aggressors,
-                                       const std::string& default_scheme);
+                                       const std::string& default_scheme,
+                                       bool sla = false);
 
 }  // namespace fgqos::scenario

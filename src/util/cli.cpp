@@ -46,6 +46,15 @@ double parse_number(const std::string& text, const std::string& flag) {
   return parsed;
 }
 
+double parse_positive(const std::string& text, const std::string& flag) {
+  char* end = nullptr;
+  const double parsed = std::strtod(text.c_str(), &end);
+  config_check(!text.empty() && *end == '\0' && std::isfinite(parsed) &&
+                   parsed > 0,
+               flag + " expects a positive number, got '" + text + "'");
+  return parsed;
+}
+
 ArgParser::ArgParser(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -103,6 +112,11 @@ std::int64_t ArgParser::get_int(const std::string& key,
 double ArgParser::get_double(const std::string& key, double def) const {
   const std::string v = get(key);
   return v.empty() ? def : parse_number(v, "--" + key);
+}
+
+double ArgParser::get_positive(const std::string& key, double def) const {
+  const std::string v = get(key);
+  return v.empty() ? def : parse_positive(v, "--" + key);
 }
 
 std::size_t ArgParser::get_count(const std::string& key,

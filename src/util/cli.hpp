@@ -17,6 +17,11 @@ namespace fgqos::util {
 /// naming the flag and the text when it is not one or overflows.
 [[nodiscard]] double parse_number(const std::string& text,
                                   const std::string& flag);
+/// Parses \p text as a positive, finite number for option \p flag (a
+/// duration or a window); throws ConfigError "<flag> expects a positive
+/// number, got '<text>'" for 0, signs, nan, inf and non-numbers.
+[[nodiscard]] double parse_positive(const std::string& text,
+                                    const std::string& flag);
 
 /// Parses `--key=value`, `--key value` and bare `--flag` arguments.
 /// Unknown positional arguments are collected separately.
@@ -36,6 +41,8 @@ class ArgParser {
   [[nodiscard]] std::int64_t get_int(const std::string& key,
                                      std::int64_t def) const;
   [[nodiscard]] double get_double(const std::string& key, double def) const;
+  /// A positive, finite number (parse_positive) or \p def when absent.
+  [[nodiscard]] double get_positive(const std::string& key, double def) const;
   /// A count: a non-negative integer (parse_count) or \p def when absent.
   [[nodiscard]] std::size_t get_count(const std::string& key,
                                       std::size_t def) const;

@@ -120,11 +120,18 @@ TEST(StridedTraffic, AddressesFollowTheStride) {
   tg.burst_bytes = 64;
   tg.max_bytes = 64 * 16;
   chip.add_traffic_gen(0, tg);
-  wl::TraceRecorder rec;
+  struct GrantAddrs final : axi::TxnObserver {
+    std::vector<axi::Addr> addrs;
+    void on_issue(const axi::Transaction&, sim::TimePs) override {}
+    void on_grant(const axi::LineRequest& line, sim::TimePs) override {
+      addrs.push_back(line.addr);
+    }
+    void on_complete(const axi::Transaction&, sim::TimePs) override {}
+  } rec;
   chip.accel_port(0).add_observer(rec);
   chip.run_for(sim::kPsPerMs);
-  ASSERT_GE(rec.events().size(), 2u);
-  EXPECT_EQ(rec.events()[1].addr - rec.events()[0].addr, 8192u);
+  ASSERT_GE(rec.addrs.size(), 2u);
+  EXPECT_EQ(rec.addrs[1] - rec.addrs[0], 8192u);
 }
 
 // --------------------------------------------------------------------------

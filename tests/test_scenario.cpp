@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -50,38 +53,40 @@ void expect_config_error(Fn fn, const std::string& needle) {
   }
 }
 
-scenario::ToolArgs parse(std::vector<const char*> argv) {
+scenario::ToolArgs parse(std::vector<const char*> argv, bool sla = false) {
   argv.insert(argv.begin(), "tool");
   const util::ArgParser args(static_cast<int>(argv.size()), argv.data());
-  return scenario::parse_tool_args(args, 3, "hw");
+  return scenario::parse_tool_args(args, 3, "hw", sla);
 }
 
-TEST(Scenario, PointPathTagsOnlyTheLastPathComponent) {
-  using scenario::point_path;
-  EXPECT_EQ(point_path("out.json", "budget", "400"), "out.budget400.json");
-  EXPECT_EQ(point_path("dir/out.json", "budget", "400"),
-            "dir/out.budget400.json");
-  EXPECT_EQ(point_path("out", "budget", "400"), "out.budget400");
-  // A dot in a directory name is not an extension.
-  EXPECT_EQ(point_path("out.d/m", "budget", "100"), "out.d/m.budget100");
-  EXPECT_EQ(point_path("../x/m", "budget", "100"), "../x/m.budget100");
-  EXPECT_EQ(point_path("a.b/c.csv", "window", "1"), "a.b/c.window1.csv");
-  // A leading dot names a hidden file, not an extension.
-  EXPECT_EQ(point_path(".m", "isr", "3"), ".m.isr3");
-  EXPECT_EQ(point_path("d/.m", "isr", "3"), "d/.m.isr3");
-  EXPECT_EQ(point_path("", "budget", "400"), "");
-}
-
-TEST(Scenario, ExportsForPointTagsEveryFile) {
-  scenario::Exports e;
-  e.metrics_json = "m.json";
-  e.journal = "run/j.jsonl";
-  e.drop_host_timing = true;
-  const scenario::Exports p = e.for_point("aggressors", "2");
-  EXPECT_EQ(p.metrics_json, "m.aggressors2.json");
-  EXPECT_EQ(p.journal, "run/j.aggressors2.jsonl");
-  EXPECT_EQ(p.blame_json, "");
-  EXPECT_TRUE(p.drop_host_timing);
+TEST(Scenario, WriteFillsTheBundleWithFixedNames) {
+  scenario::Observers obs;
+  obs.lifecycle_metrics = true;
+  obs.blame_window_ps = 50 * sim::kPsPerUs;
+  obs.journal = Journal::kRun;
+  scenario::Scenario s = scenario::build(two_aggressors(Scheme::kHw), obs, 1);
+  s.chip->run_for(100 * sim::kPsPerUs);
+  s.finish();
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "fgqos_bundle_test";
+  std::filesystem::remove_all(dir);
+  scenario::make_bundle_dir(dir.string());
+  s.write(dir.string(), telemetry::RunManifest{}, /*drop_host_timing=*/true);
+  // Metrics always; blame and journal because they ran; nothing else.
+  std::vector<std::string> names;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    names.push_back(e.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  EXPECT_EQ(names, (std::vector<std::string>{"blame.csv", "blame.json",
+                                             "journal.jsonl", "metrics.csv",
+                                             "metrics.json"}));
+  std::ifstream metrics(dir / "metrics.csv");
+  const std::string text((std::istreambuf_iterator<char>(metrics)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_EQ(text.find("sim.wall"), std::string::npos);
+  EXPECT_NE(text.find("port.hp0."), std::string::npos);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Scenario, StandardAggressorsLayout) {
@@ -217,6 +222,29 @@ TEST(ToolArgs, CountsRejectSignsFractionsAndText) {
                       "--values expects a number, got 'abc'");
 }
 
+TEST(ToolArgs, TimeValuesMustBePositiveAndFinite) {
+  EXPECT_DOUBLE_EQ(util::parse_positive("0.2", "--window-us"), 0.2);
+  for (const char* bad : {"0", "-1", "nan", "inf", "-inf", "1e999", "x", ""}) {
+    expect_config_error(
+        [bad] { (void)util::parse_positive(bad, "--window-us"); },
+        std::string("--window-us expects a positive number, got '") + bad +
+            "'");
+  }
+  expect_config_error([] { (void)parse({"--window-us", "-1"}); },
+                      "--window-us expects a positive number, got '-1'");
+  expect_config_error(
+      [] {
+        (void)parse({"--out", "d", "--blame", "--blame-window-us", "0"});
+      },
+      "--blame-window-us expects a positive number, got '0'");
+  expect_config_error(
+      [] {
+        (void)parse({"--out", "d", "--timeseries", "--timeseries-window-us",
+                     "nan"});
+      },
+      "--timeseries-window-us expects a positive number, got 'nan'");
+}
+
 TEST(ToolArgs, NegativeAggressorCountIsRejected) {
   expect_config_error([] { (void)parse({"--aggressors", "-1"}); },
                       "--aggressors");
@@ -232,32 +260,62 @@ TEST(ToolArgs, SchemesAndDependentFlagsAreChecked) {
   expect_config_error(
       [] { (void)parse({"--scheme", "sw", "--envelope-spec", "e.json"}); },
       "--envelope-spec requires --scheme hw");
-  expect_config_error([] { (void)parse({"--trace-filter", "qos"}); },
-                      "--trace-filter requires --trace");
-  expect_config_error([] { (void)parse({"--timeseries-window-us", "5"}); },
-                      "--timeseries-csv");
   expect_config_error([] { (void)parse({"--mapping", "diagonal"}); },
                       "diagonal");
 }
 
+TEST(ToolArgs, TuningFlagsNeedTheirObserverAndObserversNeedOut) {
+  for (const char* flag :
+       {"--trace", "--blame", "--timeseries", "--journal", "--profile"}) {
+    expect_config_error([flag] { (void)parse({flag}); },
+                        std::string(flag) + " requires --out");
+  }
+  expect_config_error(
+      [] { (void)parse({"--out", "d", "--trace-filter", "qos"}); },
+      "--trace-filter requires --trace");
+  expect_config_error(
+      [] { (void)parse({"--out", "d", "--blame-window-us", "20"}); },
+      "--blame-window-us requires --blame");
+  expect_config_error(
+      [] { (void)parse({"--out", "d", "--timeseries-window-us", "5"}); },
+      "--timeseries-window-us requires --timeseries");
+  expect_config_error(
+      [] { (void)parse({"--out", "d", "--timeseries-filter", "qos.*"}); },
+      "--timeseries-filter requires --timeseries");
+  // An SLA bound turns attribution on, so its window may be tuned without
+  // --blame (and without a bundle); the SLA flags are the caller's.
+  const scenario::ToolArgs sla =
+      parse({"--sla-p99-us", "5", "--blame-window-us", "20"}, /*sla=*/true);
+  EXPECT_EQ(sla.observers.blame_window_ps, 20 * sim::kPsPerUs);
+  EXPECT_EQ(sla.observers.sla.max_p99_latency_ps, 5 * sim::kPsPerUs);
+  expect_config_error(
+      [] { (void)parse({"--blame-window-us", "20"}, /*sla=*/true); },
+      "--blame-window-us requires --blame or an --sla-* bound");
+}
+
 TEST(ToolArgs, ObserversFollowTheExportFlags) {
   const scenario::ToolArgs t =
-      parse({"--metrics-json", "m.json", "--blame-json", "b.json",
-             "--blame-window-us", "20", "--timeseries-csv", "ts.csv",
-             "--journal", "j.jsonl", "--profile-folded", "p.txt"});
+      parse({"--out", "run", "--trace", "--blame", "--blame-window-us", "20",
+             "--timeseries", "--journal", "--profile"});
+  EXPECT_EQ(t.out, "run");
+  EXPECT_EQ(t.observers.trace_path, "run/trace.json");
   EXPECT_TRUE(t.observers.lifecycle_metrics);
   EXPECT_EQ(t.observers.blame_window_ps, 20 * sim::kPsPerUs);
   ASSERT_TRUE(t.observers.timeseries.has_value());
   EXPECT_EQ(t.observers.timeseries->window_ps, 100 * sim::kPsPerUs);
   EXPECT_EQ(t.observers.journal, Journal::kRun);
   EXPECT_TRUE(t.observers.profile);
-  EXPECT_EQ(t.exports.blame_json, "b.json");
 
   const scenario::Spec spec = t.spec(soc::SocConfig{});
   EXPECT_EQ(spec.scheme, Scheme::kHw);
   EXPECT_DOUBLE_EQ(spec.budget_bps, 400e6);
   EXPECT_EQ(spec.window_ps, sim::kPsPerUs);
   EXPECT_EQ(spec.faults, nullptr);
+
+  const scenario::ToolArgs bundle = parse({"--out", "run"});
+  EXPECT_TRUE(bundle.observers.lifecycle_metrics);
+  EXPECT_EQ(bundle.observers.trace_path, "");
+  EXPECT_EQ(bundle.observers.blame_window_ps, 0u);
 
   const scenario::ToolArgs quiet = parse({});
   EXPECT_FALSE(quiet.observers.lifecycle_metrics);

@@ -1,10 +1,7 @@
 // Fine-grained timing and behavioural detail tests: DRAM tFAW/refresh
 // effects, mapping-policy bandwidth, CMRI/PREM schedules, runtime pacing
-// changes, VCD identifier space, and bound portability across presets.
+// changes and bound portability across presets.
 #include <gtest/gtest.h>
-
-#include <fstream>
-#include <sstream>
 
 #include "fgqos.hpp"
 #include "qos/analysis.hpp"
@@ -137,37 +134,6 @@ TEST(TrafficPacing, TargetChangeAtRuntime) {
   const std::uint64_t phase2 = gen.stats().issued_bytes - phase1;
   EXPECT_NEAR(sim::bytes_per_second(phase1, 2 * sim::kPsPerMs), 500e6, 50e6);
   EXPECT_NEAR(sim::bytes_per_second(phase2, 2 * sim::kPsPerMs), 2e9, 0.2e9);
-}
-
-// --------------------------------------------------------------------------
-// VCD identifier space beyond one character
-// --------------------------------------------------------------------------
-
-TEST(VcdIdentifiers, ManySignalsGetDistinctIds) {
-  const std::string path = "/tmp/fgqos_vcd_many.vcd";
-  {
-    sim::VcdWriter w(path);
-    std::vector<sim::VcdSignal> sigs;
-    for (int i = 0; i < 200; ++i) {
-      sigs.push_back(w.add_signal("s", "sig" + std::to_string(i), 1));
-    }
-    for (int i = 0; i < 200; ++i) {
-      w.sample(sigs[static_cast<std::size_t>(i)], 1, 0);
-    }
-    w.finish();
-  }
-  std::ifstream is(path);
-  std::stringstream ss;
-  ss << is.rdbuf();
-  const std::string out = ss.str();
-  // 200 $var declarations, one per signal.
-  std::size_t vars = 0, pos = 0;
-  while ((pos = out.find("$var wire", pos)) != std::string::npos) {
-    ++vars;
-    ++pos;
-  }
-  EXPECT_EQ(vars, 200u);
-  std::remove(path.c_str());
 }
 
 // --------------------------------------------------------------------------

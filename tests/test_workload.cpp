@@ -1,5 +1,5 @@
-// Unit tests for traffic generators, CPU kernels, trace capture/replay and
-// the benchmark suite registry.
+// Unit tests for traffic generators, CPU kernels and the benchmark suite
+// registry.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -9,7 +9,6 @@
 #include "util/config_error.hpp"
 #include "workload/cpu_workloads.hpp"
 #include "workload/suite.hpp"
-#include "workload/trace.hpp"
 #include "workload/traffic_gen.hpp"
 
 namespace fgqos::wl {
@@ -20,6 +19,16 @@ soc::SocConfig plain_soc() {
   cfg.qos_blocks = false;
   return cfg;
 }
+
+/// Records the address of every line granted on a port.
+struct GrantAddrs final : axi::TxnObserver {
+  std::vector<axi::Addr> addrs;
+  void on_issue(const axi::Transaction&, sim::TimePs) override {}
+  void on_grant(const axi::LineRequest& line, sim::TimePs) override {
+    addrs.push_back(line.addr);
+  }
+  void on_complete(const axi::Transaction&, sim::TimePs) override {}
+};
 
 TEST(TrafficGen, SaturatesPortBandwidth) {
   soc::Soc chip(plain_soc());
@@ -88,13 +97,10 @@ TEST(TrafficGen, RandomPatternCoversFootprint) {
   tg.pattern = Pattern::kRandomRead;
   tg.footprint_bytes = 1 << 20;
   chip.add_traffic_gen(0, tg);
-  TraceRecorder rec;
+  GrantAddrs rec;
   chip.accel_port(0).add_observer(rec);
   chip.run_for(200 * sim::kPsPerUs);
-  std::set<axi::Addr> distinct;
-  for (const auto& e : rec.events()) {
-    distinct.insert(e.addr);
-  }
+  const std::set<axi::Addr> distinct(rec.addrs.begin(), rec.addrs.end());
   EXPECT_GT(distinct.size(), 100u);
 }
 
@@ -187,55 +193,6 @@ TEST(Kernels, RandomRmwPairsLoadAndStoreToSameLine) {
   EXPECT_FALSE(load.op->is_write);
   EXPECT_TRUE(store.op->is_write);
   EXPECT_EQ(load.op->addr, store.op->addr);
-}
-
-TEST(Trace, RecordSaveLoadRoundTrip) {
-  soc::Soc chip(plain_soc());
-  TrafficGenConfig tg;
-  tg.max_bytes = 16 * 1024;
-  chip.add_traffic_gen(0, tg);
-  TraceRecorder rec;
-  chip.accel_port(0).add_observer(rec);
-  chip.run_for(sim::kPsPerMs);
-  ASSERT_FALSE(rec.events().empty());
-  const std::string path = "/tmp/fgqos_trace_test.csv";
-  rec.save_csv(path);
-  const auto loaded = TraceRecorder::load_csv(path);
-  ASSERT_EQ(loaded.size(), rec.events().size());
-  EXPECT_EQ(loaded[0].addr, rec.events()[0].addr);
-  EXPECT_EQ(loaded[0].bytes, rec.events()[0].bytes);
-  EXPECT_EQ(loaded.back().time, rec.events().back().time);
-  std::remove(path.c_str());
-}
-
-TEST(Trace, BoundedRecorderTruncates) {
-  TraceRecorder rec(2);
-  axi::Transaction txn;
-  axi::LineRequest l;
-  l.txn = &txn;
-  l.bytes = 64;
-  rec.on_grant(l, 0);
-  rec.on_grant(l, 1);
-  rec.on_grant(l, 2);
-  EXPECT_EQ(rec.events().size(), 2u);
-  EXPECT_TRUE(rec.truncated());
-}
-
-TEST(Trace, ReplayKernelCyclesThroughEvents) {
-  std::vector<TraceEvent> ev = {
-      {0, 0, 0x1000, 64, false},
-      {1, 0, 0x2000, 64, true},
-  };
-  auto k = make_trace_replay("replay", ev);
-  sim::Xoshiro256 rng(1);
-  const auto s1 = k->next(rng);
-  const auto s2 = k->next(rng);
-  const auto s3 = k->next(rng);
-  EXPECT_EQ(s1.op->addr, 0x1000u);
-  EXPECT_FALSE(s1.end_of_iteration);
-  EXPECT_TRUE(s2.op->is_write);
-  EXPECT_TRUE(s2.end_of_iteration);
-  EXPECT_EQ(s3.op->addr, 0x1000u);  // wrapped
 }
 
 TEST(Suite, EntriesAreWellFormed) {

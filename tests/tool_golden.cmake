@@ -9,6 +9,9 @@
 #   cmake -DEXPECT_ERROR=<regex> -P tool_golden.cmake -- <tool> <args...>
 #     The command must exit non-zero and print an `error:` line on stderr
 #     matching EXPECT_ERROR.
+#
+#   cmake -DEXPECT_EXIT=<code> -P tool_golden.cmake -- <tool> <args...>
+#     The command must exit with status EXPECT_EXIT.
 set(cmd "")
 set(in_cmd FALSE)
 foreach(i RANGE ${CMAKE_ARGC})
@@ -22,8 +25,19 @@ if(NOT cmd)
   message(FATAL_ERROR "tool_golden.cmake: no command after --")
 endif()
 
+if(DEFINED OUTPUT)
+  # A stale copy from an earlier run must not pass for this one.
+  file(REMOVE "${OUTPUT}")
+endif()
 execute_process(COMMAND ${cmd} RESULT_VARIABLE rc OUTPUT_QUIET
                 ERROR_VARIABLE err TIMEOUT 120)
+
+if(DEFINED EXPECT_EXIT)
+  if(NOT rc STREQUAL "${EXPECT_EXIT}")
+    message(FATAL_ERROR "expected exit ${EXPECT_EXIT}, got ${rc}:\n${err}")
+  endif()
+  return()
+endif()
 
 if(DEFINED EXPECT_ERROR)
   if(rc EQUAL 0)

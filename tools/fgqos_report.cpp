@@ -2,13 +2,13 @@
 /// \brief Run-comparison / regression analyzer over exported artifacts.
 ///
 /// Three modes:
-///   compare   — two runs' artifacts (metrics JSON required, blame CSV /
-///               journal JSONL / time-series JSON optional): per-tenant
-///               p50/p99/p999 and bandwidth deltas, blame-matrix diffs,
-///               decision-timeline summaries, PASS/FAIL verdicts against
-///               the regression thresholds.
-///   summary   — one run's artifacts (only --a-* given): digest without
-///               deltas.
+///   compare   — two run bundles (--a DIR --b DIR, as fgqos_sim --out
+///               writes them; metrics.json required, blame.csv /
+///               journal.jsonl / timeseries.json read when present):
+///               per-tenant p50/p99/p999 and bandwidth deltas,
+///               blame-matrix diffs, decision-timeline summaries,
+///               PASS/FAIL verdicts against the regression thresholds.
+///   summary   — one run bundle (only --a given): digest without deltas.
 ///   bench     — two BENCH_micro.json kernel-throughput records
 ///               (--bench + --bench-baseline): events/sec drop gate.
 ///   profile   — two host-profile artifacts (--profile-a + --profile-b,
@@ -21,12 +21,11 @@
 /// Exit codes: 0 = pass, 1 = usage/parse error, 2 = regression detected.
 ///
 /// Examples:
-///   fgqos_report --a-metrics base.json --b-metrics new.json
-///                --a-blame base_blame.csv --b-blame new_blame.csv
-///                --a-journal base.jsonl --b-journal new.jsonl
+///   fgqos_report --a base_run --b new_run
 ///   fgqos_report --bench BENCH_micro.json
 ///                --bench-baseline ci/bench_baseline.json --max-drop-pct 10
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -45,14 +44,10 @@ void usage() {
   std::printf(
       "fgqos_report — compare runs of the fgqos platform simulator\n\n"
       "compare / summary mode:\n"
-      "  --a-metrics FILE     run A metrics JSON (required)\n"
-      "  --b-metrics FILE     run B metrics JSON (omit for a summary of A)\n"
-      "  --a-blame FILE       run A blame-matrix CSV\n"
-      "  --b-blame FILE       run B blame-matrix CSV\n"
-      "  --a-journal FILE     run A decision-journal JSONL\n"
-      "  --b-journal FILE     run B decision-journal JSONL\n"
-      "  --a-timeseries FILE  run A time-series JSON\n"
-      "  --b-timeseries FILE  run B time-series JSON\n"
+      "  --a DIR              run A bundle (fgqos_sim --out); reads\n"
+      "                       metrics.json and, when present, blame.csv,\n"
+      "                       journal.jsonl and timeseries.json\n"
+      "  --b DIR              run B bundle (omit for a summary of A)\n"
       "  --max-p99-regress-pct N  tolerated p99/p999 growth (default 10)\n"
       "  --max-bw-drop-pct N      tolerated bandwidth drop (default 10)\n"
       "  --force              compare even when manifests disagree\n"
@@ -86,24 +81,26 @@ std::string slurp(const std::string& path) {
   return ss.str();
 }
 
-void load_side(telemetry::RunData& run, const util::ArgParser& args,
-               const std::string& prefix) {
-  const std::string metrics = args.get(prefix + "-metrics", "");
-  if (!metrics.empty()) {
-    run.load_metrics_json(metrics);
+/// Loads run bundle \p dir: metrics.json, then whichever of the optional
+/// entries the run wrote.
+telemetry::RunData load_bundle(const std::string& dir,
+                               const std::string& label) {
+  const std::string base = dir + "/";
+  config_check(std::filesystem::is_regular_file(base + "metrics.json"),
+               "'" + dir + "' is not a run bundle (no metrics.json)");
+  telemetry::RunData run;
+  run.label = label;
+  run.load_metrics_json(base + "metrics.json");
+  if (std::filesystem::exists(base + "blame.csv")) {
+    run.load_blame_csv(base + "blame.csv");
   }
-  const std::string blame = args.get(prefix + "-blame", "");
-  if (!blame.empty()) {
-    run.load_blame_csv(blame);
+  if (std::filesystem::exists(base + "journal.jsonl")) {
+    run.load_journal_jsonl(base + "journal.jsonl");
   }
-  const std::string journal = args.get(prefix + "-journal", "");
-  if (!journal.empty()) {
-    run.load_journal_jsonl(journal);
+  if (std::filesystem::exists(base + "timeseries.json")) {
+    run.load_timeseries_json(base + "timeseries.json");
   }
-  const std::string ts = args.get(prefix + "-timeseries", "");
-  if (!ts.empty()) {
-    run.load_timeseries_json(ts);
-  }
+  return run;
 }
 
 int emit(const std::string& text, const std::string& out) {
@@ -223,36 +220,28 @@ int main(int argc, char** argv) {
     }
 
     // --- compare / summary mode ------------------------------------------
-    if (args.get("a-metrics", "").empty()) {
+    const std::string dir_a = args.get("a");
+    const std::string dir_b = args.get("b");
+    if (dir_a.empty()) {
       usage();
-      throw ConfigError("--a-metrics is required (or use bench mode)");
+      throw ConfigError("--a is required (or use another mode)");
     }
     telemetry::ReportThresholds t;
     t.max_p99_regress_pct =
         args.get_double("max-p99-regress-pct", t.max_p99_regress_pct);
     t.max_bw_drop_pct = args.get_double("max-bw-drop-pct", t.max_bw_drop_pct);
     const bool force = args.get_bool("force", false);
-    const bool have_b = !args.get("b-metrics", "").empty();
-
-    telemetry::RunData a;
-    a.label = "A";
-    load_side(a, args, "a");
-    telemetry::RunData b;
-    b.label = "B";
-    if (have_b) {
-      load_side(b, args, "b");
-    } else if (!args.get("b-blame", "").empty() ||
-               !args.get("b-journal", "").empty() ||
-               !args.get("b-timeseries", "").empty()) {
-      throw ConfigError("--b-* artifacts need --b-metrics");
-    }
     for (const auto& k : args.unused_keys()) {
       throw ConfigError("unknown option --" + k + " (see --help)");
     }
 
+    // The report points into both runs, so they outlive it.
+    const telemetry::RunData a = load_bundle(dir_a, "A");
+    const telemetry::RunData b =
+        dir_b.empty() ? telemetry::RunData{} : load_bundle(dir_b, "B");
     const telemetry::RunReport rep =
-        have_b ? telemetry::compare_runs(a, b, t, force)
-               : telemetry::summarize_run(a);
+        dir_b.empty() ? telemetry::summarize_run(a)
+                      : telemetry::compare_runs(a, b, t, force);
     std::ostringstream ss;
     if (as_json) {
       rep.write_json(ss);

@@ -6,7 +6,7 @@
 ///   fgqos_sim --preset zcu102 --aggressors 4 --pattern seq_rd
 ///             --scheme hw --budget-mbps 400 --window-us 1 --duration-ms 20
 ///   fgqos_sim --preset ultra96 --critical stream --scheme sw
-///             --budget-mbps 200 --csv out.csv
+///             --budget-mbps 200 --out run --blame --journal
 ///   fgqos_sim --list-presets
 #include <algorithm>
 #include <csignal>
@@ -62,13 +62,13 @@ void usage() {
       "                      outstanding window) regardless of --pattern\n"
       "  --duration-ms D     simulated time (default 20)\n"
       "  --seed N            base RNG seed (default 100)\n"
-      "  --csv FILE          also write the stats table as CSV\n"
-      "  --trace FILE        write a Chrome trace_event JSON timeline\n"
+      "  --out DIR           write the run bundle into DIR: stats.csv,\n"
+      "                      metrics.json, metrics.csv and the files of\n"
+      "                      each observer below (docs/OBSERVABILITY.md)\n"
+      "  --trace             Chrome trace_event timeline (trace.json)\n"
       "  --trace-filter C    categories: port,dram,qos,workload,kernel\n"
-      "  --metrics-json FILE metrics snapshot (per-hop histograms) as JSON\n"
-      "  --metrics-csv FILE  metrics snapshot as CSV\n"
-      "  --blame-csv FILE    interference-attribution blame matrices as CSV\n"
-      "  --blame-json FILE   blame matrices as JSON\n"
+      "  --blame             interference-attribution blame matrices\n"
+      "                      (blame.csv, blame.json)\n"
       "  --blame-window-us W blame accounting window (default 100)\n"
       "  --sla-min-mbps B    SLA watchdog: min CPU-port bandwidth per window\n"
       "  --sla-p99-us L      SLA watchdog: max CPU read p99 per window\n"
@@ -83,23 +83,20 @@ void usage() {
       "                      (requires --scheme hw; see docs/CERTIFICATION.md)\n"
       "  --serving-spec FILE JSON request-serving scenario: key-value\n"
       "                      tenants on HP ports (see docs/SERVING.md)\n"
-      "  --timeseries-csv FILE   windowed time series as long-format CSV\n"
-      "  --timeseries-json FILE  windowed time series (+summaries) as JSON\n"
+      "  --timeseries        windowed time series (timeseries.csv,\n"
+      "                      timeseries.json)\n"
       "  --timeseries-filter G   comma-separated series globs (qos.*,dram.*)\n"
       "  --timeseries-window-us W  sampling window (default 100)\n"
-      "  --journal FILE      QoS decision journal as JSON-lines\n"
+      "  --journal           QoS decision journal (journal.jsonl)\n"
       "  --profile           host-side hot-path profiler: per-component\n"
       "                      CPU attribution + kernel micro-telemetry\n"
-      "  --profile-json FILE profile snapshot as JSON (implies --profile)\n"
-      "  --profile-folded FILE\n"
-      "                      folded-stack text for flamegraph tooling\n"
-      "                      (implies --profile)\n"
+      "                      (profile.json, profile.folded)\n"
       "  --watchdog-fallback-mbps B\n"
       "                      degraded-mode watchdog on each regulated port:\n"
       "                      fall back to B MB/s when the monitor feed goes\n"
       "                      stale or saturates (requires --scheme hw)\n"
-      "\nSIGINT/SIGTERM stop the simulation early; all requested outputs\n"
-      "are still written from the partial run.\n");
+      "\nThe observer flags need --out. SIGINT/SIGTERM stop the simulation\n"
+      "early; the bundle is still written from the partial run.\n");
 }
 
 wl::Pattern pattern_from(const std::string& s) {
@@ -128,12 +125,12 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    const scenario::ToolArgs t = scenario::parse_tool_args(args, 4, "none");
+    const scenario::ToolArgs t =
+        scenario::parse_tool_args(args, 4, "none", /*sla=*/true);
     const std::string preset = args.get("preset", "zcu102");
     const std::string critical = args.get("critical", "latency");
     const std::string pattern_name = args.get("pattern", "seq_rd");
-    const double duration_ms = args.get_double("duration-ms", 20);
-    const std::string csv = args.get("csv", "");
+    const double duration_ms = args.get_positive("duration-ms", 20);
     const double aggressor_stride_mb =
         args.get_double("aggressor-stride-mb", 64);
     if (aggressor_stride_mb <= 0) {
@@ -150,15 +147,6 @@ int main(int argc, char** argv) {
       throw ConfigError("--watchdog-fallback-mbps requires --scheme hw");
     }
     scenario::Observers obs = t.observers;
-    obs.sla.min_bandwidth_mbps = args.get_double("sla-min-mbps", 0);
-    obs.sla.max_p99_latency_ps =
-        static_cast<sim::TimePs>(args.get_double("sla-p99-us", 0) * 1e6);
-    obs.sla.max_interference_fraction = args.get_double("sla-stall-frac", 0);
-    if (obs.sla.min_bandwidth_mbps > 0 || obs.sla.max_p99_latency_ps > 0 ||
-        obs.sla.max_interference_fraction > 0) {
-      obs.blame_window_ps = static_cast<sim::TimePs>(
-          args.get_double("blame-window-us", 100) * 1e6);
-    }
     if (obs.journal == scenario::Journal::kRun) {
       // This tool's journal also holds the scheme's t = 0 register writes.
       obs.journal = scenario::Journal::kSetupAndRun;
@@ -217,6 +205,9 @@ int main(int argc, char** argv) {
     const telemetry::RunManifest manifest =
         t.manifest("fgqos_sim", t.seed, sc.str());
 
+    if (!t.out.empty()) {
+      scenario::make_bundle_dir(t.out);
+    }
     scenario::Scenario s = scenario::build(spec, obs, t.seed);
     soc::Soc& chip = *s.chip;
     std::size_t rejected = 0;
@@ -270,11 +261,11 @@ int main(int argc, char** argv) {
                 util::format_bandwidth(chip.dram_bandwidth_bps()).c_str(),
                 stats.get("dram.bus_utilization") * 100);
     table.print();
-    if (!csv.empty()) {
-      table.save_csv(csv);
-      std::printf("\nCSV written to %s\n", csv.c_str());
+    if (!t.out.empty()) {
+      table.save_csv(t.out + "/stats.csv");
+      s.write(t.out, manifest);
+      std::printf("\nrun bundle written to %s\n", t.out.c_str());
     }
-    s.write(t.exports, manifest, stdout);
     if (obs.profile) {
       const telemetry::ProfileSnapshot prof = s.profile();
       std::printf("\nhost profile: %llu events, %llu ticks, coverage %.1f%%\n",
@@ -335,11 +326,6 @@ int main(int argc, char** argv) {
     if (s.manager != nullptr && s.manager->envelope_fallback()) {
       std::printf("\nWARNING: certified envelope violated during the run — "
                   "manager degraded to conservative fallback budgets\n");
-    }
-    if (!obs.trace_path.empty()) {
-      std::printf("\ntrace written to %s (%zu events)\n",
-                  obs.trace_path.c_str(),
-                  chip.telemetry().trace()->events_written());
     }
     return 0;
   } catch (const ConfigError& e) {

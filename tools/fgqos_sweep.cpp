@@ -3,20 +3,21 @@
 ///
 /// Sweeps one of {budget, window, aggressors, isr} for a fixed scenario
 /// (latency-critical CPU task + N regulated aggressors) and writes one
-/// CSV row per point: knob value, critical mean/p99 iteration time,
-/// critical read p99 and aggregate aggressor bandwidth. The building
-/// block for custom plots beyond the canned bench_exp* binaries.
+/// row per point to the bundle's sweep.csv: knob value, critical
+/// mean/p99 iteration time, critical read p99 and aggregate aggressor
+/// bandwidth. The building block for custom plots beyond the canned
+/// bench_exp* binaries.
 ///
 /// Points are independent simulations, so the sweep fans out over the
 /// exec::ScenarioRunner: `--jobs N` (or FGQOS_JOBS) runs N points
 /// concurrently, `--jobs 0` uses every hardware thread. Each point's RNG
 /// seeds derive only from `--seed` and the point's position, and rows
 /// are merged in submission order, so the CSV and the per-point metrics
-/// snapshots are byte-identical whatever the job count (the wall-clock
-/// `exec.*` metrics are the one place host timing shows up).
+/// snapshots are byte-identical whatever the job count (exec_metrics.json
+/// and the host profile are the one place host timing shows up).
 ///
 /// Examples:
-///   fgqos_sweep --knob budget --values 100,200,400,800,1600 --csv b.csv
+///   fgqos_sweep --knob budget --values 100,200,400,800,1600 --out b
 ///   fgqos_sweep --knob window --values 0.2,1,10,100,1000 --scheme hw
 ///   fgqos_sweep --knob aggressors --values 0,1,2,3,4 --scheme none
 ///   fgqos_sweep --knob isr --values 1,3,10,50 --scheme sw --jobs 4
@@ -64,7 +65,7 @@ struct Outcome {
   /// same way.
   std::string timeseries_rows;
   /// Pre-rendered per-tenant serving CSV rows ("<point>,tenant,..."),
-  /// merged the same way.
+  /// merged the same way; empty without serving tenants.
   std::string serving_rows;
   /// Reservations refused by certified-envelope admission control in this
   /// point (jobs never print; main() warns after the deterministic merge).
@@ -86,20 +87,14 @@ struct Point {
   std::string label;  ///< the knob value as given; prefixes merged rows
   std::size_t aggressors = 0;
   scenario::Spec spec;
-  scenario::Observers observers;  ///< trace path already suffixed
-  scenario::Exports exports;      ///< per-point files, already suffixed
-  /// Provenance of the point's exports; the seed is the job's.
+  scenario::Observers observers;  ///< trace path already in the point dir
+  std::string dir;  ///< the point's bundle, <out>/<knob><value> ("" = none)
+  /// Provenance of the point's bundle; the seed is the job's.
   telemetry::RunManifest manifest;
 };
 
-/// What a job renders beyond its own files.
-struct Merge {
-  bool timeseries_csv = false;
-  bool serving_csv = false;
-};
-
 Outcome run_point(const Point& point, std::uint64_t seed,
-                  std::uint64_t footprint_bytes, const Merge& merge) {
+                  std::uint64_t footprint_bytes) {
   scenario::Spec spec = point.spec;
   spec.aggressors = scenario::standard_aggressors(
       point.aggressors, wl::Pattern::kSeqRead, seed, 64ull << 20,
@@ -126,12 +121,14 @@ Outcome run_point(const Point& point, std::uint64_t seed,
     }
   }
   s.finish();
-  // Per-point provenance: depends only on the scenario and the derived
-  // seed, never on job fan-out, so exports stay byte-identical across
-  // --jobs.
-  telemetry::RunManifest manifest = point.manifest;
-  manifest.seed = seed;
-  s.write(point.exports, manifest);
+  if (!point.dir.empty()) {
+    // Per-point provenance: depends only on the scenario and the derived
+    // seed, never on job fan-out, so the bundle stays byte-identical
+    // across --jobs.
+    telemetry::RunManifest manifest = point.manifest;
+    manifest.seed = seed;
+    s.write(point.dir, manifest, /*drop_host_timing=*/true);
+  }
 
   Outcome o;
   o.admission_rejections = static_cast<std::size_t>(
@@ -141,12 +138,9 @@ Outcome run_point(const Point& point, std::uint64_t seed,
     o.has_profile = true;
   }
   if (telemetry::TimeSeriesRecorder* ts = chip.timeseries()) {
-    if (merge.timeseries_csv) {
-      std::ostringstream rows;
-      ts->write_csv(rows, /*header=*/false,
-                    /*row_prefix=*/point.label + ",");
-      o.timeseries_rows = rows.str();
-    }
+    std::ostringstream rows;
+    ts->write_csv(rows, /*header=*/false, /*row_prefix=*/point.label + ",");
+    o.timeseries_rows = rows.str();
     for (std::size_t i = 0; i < ts->series_count(); ++i) {
       o.series_summaries.emplace_back(ts->series_names()[i], ts->summary(i));
     }
@@ -156,7 +150,7 @@ Outcome run_point(const Point& point, std::uint64_t seed,
     attr->write_csv(rows, /*header=*/false, /*row_prefix=*/point.label + ",");
     o.blame_rows = rows.str();
   }
-  if (merge.serving_csv) {
+  if (chip.serving_tenant_count() > 0) {
     // Integer counts and integer ps-percentiles; the two rates and the
     // attainment are fixed-point renders of deterministic doubles — the
     // merged CSV must stay byte-identical across --jobs.
@@ -194,36 +188,38 @@ int main(int argc, char** argv) {
           "fgqos_sweep --knob budget|window|aggressors|isr "
           "--values v1,v2,... [--scheme hw|sw|none] [--aggressors N]\n"
           "            [--budget-mbps B] [--window-us W] [--isr-us I]\n"
-          "            [--iterations N] [--csv FILE] [--jobs N] [--seed S]\n"
-          "            [--trace FILE] [--trace-filter CATS] "
-          "[--metrics-json FILE] [--metrics-csv FILE]\n"
-          "            [--exec-metrics-json FILE]\n"
-          "            [--blame-csv FILE] [--blame-json FILE] "
-          "[--blame-window-us W]\n"
-          "            [--timeseries-csv FILE] [--timeseries-json FILE]\n"
-          "            [--timeseries-filter GLOBS] "
+          "            [--iterations N] [--jobs N] [--seed S]\n"
+          "            [--out DIR] [--trace] [--trace-filter CATS]\n"
+          "            [--blame] [--blame-window-us W]\n"
+          "            [--timeseries] [--timeseries-filter GLOBS] "
           "[--timeseries-window-us W]\n"
-          "            [--journal FILE]\n"
+          "            [--journal] [--profile]\n"
           "            [--fault-spec FILE] [--job-timeout-s T] "
           "[--job-retries N]\n"
-          "            [--serving-spec FILE] [--serving-csv FILE]\n"
+          "            [--serving-spec FILE]\n"
           "            [--mapping row_bank_col|bank_interleaved|"
           "bank_partitioned]\n"
           "            [--bank-budget-spec FILE] [--bank-telemetry]\n"
           "            [--envelope-spec FILE]\n"
           "            [--aggressor-footprint-mb MB]\n"
-          "            [--profile] [--profile-json FILE] "
-          "[--profile-folded FILE]\n"
+          "--out DIR writes the sweep's bundle (docs/OBSERVABILITY.md):\n"
+          "sweep.csv (one row per point) and exec_metrics.json at the top,\n"
+          "plus ONE merged file per observer with a leading `point` column\n"
+          "(the knob value): blame.csv (--blame), timeseries.csv\n"
+          "(--timeseries), serving.csv (--serving-spec) and the merged host\n"
+          "profile.json/profile.folded (--profile). Every point writes its\n"
+          "own run bundle into DIR/<knob><value>/ (metrics.*, blame.*,\n"
+          "timeseries.*, journal.jsonl, profile.*, trace.json). Every file\n"
+          "but exec_metrics.json and profile.* is byte-identical for any\n"
+          "--jobs count. The observer flags need --out.\n"
           "--serving-spec instantiates the same JSON request-serving\n"
           "scenario (docs/SERVING.md) in every point, tenant op buffers\n"
-          "seeded per point; --serving-csv writes ONE merged per-tenant\n"
-          "CSV with a leading `point` column, byte-identical for any job\n"
-          "count.\n"
+          "seeded per point.\n"
           "--fault-spec arms the same JSON fault plan (docs/FAULTS.md) in\n"
           "every point, seeded per point, so faulty sweeps stay\n"
           "deterministic for any job count. --job-timeout-s bounds each\n"
           "point's wall-clock time; timed-out or crashed points are\n"
-          "retried --job-retries times with fresh seeds, and the CSV is\n"
+          "retried --job-retries times with fresh seeds, and the bundle is\n"
           "still written from the points that succeeded (failed indices\n"
           "are reported). SIGINT/SIGTERM skip remaining points and flush\n"
           "partial results.\n"
@@ -239,57 +235,28 @@ int main(int argc, char** argv) {
           "metrics/series and the blame bank dimension, and\n"
           "--aggressor-footprint-mb sizes each aggressor's working set\n"
           "(default 16).\n"
-          "--blame-csv writes ONE merged interference-attribution CSV with a\n"
-          "leading `point` column (the knob value); --blame-json writes one\n"
-          "JSON file per point (suffixed like the other telemetry files).\n"
-          "--timeseries-csv writes ONE merged windowed time-series CSV with\n"
-          "a leading `point` column; --timeseries-json and --journal write\n"
-          "one file per point (suffixed). A merged percentile summary per\n"
-          "series (per-point histograms folded in point order) is printed\n"
-          "after the sweep.\n"
-          "--profile attaches the host-side hot-path profiler to every\n"
-          "point; per-point snapshots are merged in submission order, so\n"
-          "the ONE merged profile (--profile-json / --profile-folded) is\n"
-          "identical for any job count (cycle values still vary run to\n"
-          "run — they are host time).\n"
+          "--timeseries also prints a merged percentile summary per series\n"
+          "(per-point histograms folded in point order) after the sweep.\n"
           "--jobs N runs N sweep points concurrently (0 = all hardware\n"
-          "threads; FGQOS_JOBS sets the default); outcomes are merged in\n"
-          "point order, so CSV and metrics files are byte-identical for\n"
-          "any job count.\n"
-          "Telemetry files get a per-point suffix: out.json -> "
-          "out.budget400.json\n");
+          "threads; FGQOS_JOBS sets the default).\n");
       return 0;
     }
     const std::string knob = args.get("knob", "budget");
     const std::string values_arg = args.get("values", "100,200,400,800,1600");
     const scenario::ToolArgs t = scenario::parse_tool_args(args, 3, "hw");
-    const double isr_us = args.get_double("isr-us", 3);
+    const double isr_us = args.get_positive("isr-us", 3);
     const std::size_t iterations = args.get_count("iterations", 20);
-    const std::string csv = args.get("csv", "");
-    const std::string exec_metrics_json = args.get("exec-metrics-json", "");
-    const std::string serving_csv = args.get("serving-csv", "");
     exec::ExecConfig ec;
     ec.jobs = args.get_count("jobs", exec::jobs_from_env(1));
     ec.base_seed = t.seed;
     ec.job_timeout_s = args.get_double("job-timeout-s", 0);
     ec.max_retries =
         static_cast<std::uint32_t>(args.get_count("job-retries", 0));
-    if (!serving_csv.empty() && !t.serving) {
-      throw ConfigError("--serving-csv requires --serving-spec");
-    }
     for (const auto& k : args.unused_keys()) {
       throw ConfigError("unknown option --" + k + " (see --help)");
     }
     const auto footprint_bytes =
         static_cast<std::uint64_t>(t.aggressor_footprint_mb * (1 << 20));
-    const Merge merge{!t.exports.timeseries_csv.empty(), !serving_csv.empty()};
-    // Merged files are written once by main(); the rest are per point.
-    scenario::Exports per_point = t.exports;
-    per_point.timeseries_csv.clear();
-    per_point.blame_csv.clear();
-    per_point.profile_json.clear();
-    per_point.profile_folded.clear();
-    per_point.drop_host_timing = true;
 
     // Materialise every point first; jobs read only their own point.
     std::vector<std::string> values = util::split(values_arg, ',');
@@ -307,9 +274,9 @@ int main(int argc, char** argv) {
       } else if (knob == "budget") {
         budget_mbps = util::parse_number(v, "--values");
       } else if (knob == "window") {
-        window_us = util::parse_number(v, "--values");
+        window_us = util::parse_positive(v, "--values (knob window)");
       } else if (knob == "isr") {
-        isr = util::parse_number(v, "--values");
+        isr = util::parse_positive(v, "--values (knob isr)");
       } else {
         throw ConfigError("unknown knob '" + knob + "'");
       }
@@ -325,9 +292,12 @@ int main(int argc, char** argv) {
       p.spec.critical = scenario::Critical{
           cc, [] { return wl::make_pointer_chase(wl::PointerChaseConfig{}); }};
       p.observers = t.observers;
-      p.observers.trace_path =
-          scenario::point_path(t.observers.trace_path, knob, v);
-      p.exports = per_point.for_point(knob, v);
+      if (!t.out.empty()) {
+        p.dir = t.out + "/" + knob + v;
+        if (!p.observers.trace_path.empty()) {
+          p.observers.trace_path = p.dir + "/trace.json";
+        }
+      }
       std::ostringstream sc;
       sc << "knob=" << knob << " value=" << v << " scheme=" << t.scheme
          << " aggressors=" << p.aggressors << " budget_mbps=" << budget_mbps
@@ -350,6 +320,12 @@ int main(int argc, char** argv) {
       p.manifest = t.manifest("fgqos_sweep", 0, sc.str());
       points.push_back(std::move(p));
     }
+    if (!t.out.empty()) {
+      scenario::make_bundle_dir(t.out);
+      for (const Point& p : points) {
+        scenario::make_bundle_dir(p.dir);
+      }
+    }
 
     exec::ScenarioRunner runner(ec);
     g_runner = &runner;
@@ -361,7 +337,7 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < points.size(); ++i) {
       batch.push_back([&](const exec::JobContext& ctx) {
         outcomes[ctx.index] =
-            run_point(points[ctx.index], ctx.seed, footprint_bytes, merge);
+            run_point(points[ctx.index], ctx.seed, footprint_bytes);
         std::printf("%s=%s done\n", knob.c_str(),
                     values[ctx.index].c_str());
       });
@@ -383,10 +359,6 @@ int main(int argc, char** argv) {
     }
     std::printf("\n");
     table.print();
-    if (!csv.empty()) {
-      table.save_csv(csv);
-      std::printf("\nCSV written to %s\n", csv.c_str());
-    }
     if (t.envelope) {
       std::size_t rejected = 0;
       for (std::size_t i = 0; i < outcomes.size(); ++i) {
@@ -400,65 +372,6 @@ int main(int argc, char** argv) {
                     rejected);
       }
     }
-    // Sweep-level manifest: the knob and its values ARE the scenario;
-    // independent of --jobs, so the merged files stay byte-identical.
-    telemetry::RunManifest sweep_manifest;
-    sweep_manifest.tool = "fgqos_sweep";
-    sweep_manifest.seed = ec.base_seed;
-    sweep_manifest.build = telemetry::RunManifest::build_flavor();
-    sweep_manifest.scenario =
-        "knob=" + knob + " values=" + values_arg + " scheme=" + t.scheme;
-    const std::string platform_tokens =
-        (t.mapping.empty() ? "" : " mapping=" + t.mapping) +
-        scenario::hash_token("bank_budgets", t.bank_budgets);
-    // Merged CSVs: every point's pre-rendered rows in submission order.
-    const auto write_merged = [&](const std::string& path, const char* what,
-                                  const telemetry::RunManifest* manifest,
-                                  const char* header,
-                                  std::string Outcome::*rows) {
-      if (path.empty()) {
-        return;
-      }
-      std::ofstream out(path);
-      if (!out) {
-        throw ConfigError(std::string("cannot open ") + what + " '" + path +
-                          "'");
-      }
-      if (manifest != nullptr) {
-        out << manifest->to_csv_comment();
-      }
-      out << header;
-      for (const Outcome& o : outcomes) {
-        out << o.*rows;
-      }
-      std::printf("%s written to %s\n", what, path.c_str());
-    };
-    write_merged(t.exports.blame_csv, "blame CSV", nullptr,
-                 "point,scope,window_start_ps,window_end_ps,victim,aggressor,"
-                 "cause,stall_ps,bytes\n",
-                 &Outcome::blame_rows);
-    telemetry::RunManifest ts_manifest = sweep_manifest;
-    ts_manifest.scenario += platform_tokens;
-    if (t.faults) {
-      ts_manifest.fault_spec_hash = telemetry::fnv1a_hex(t.faults->to_json());
-    }
-    write_merged(t.exports.timeseries_csv, "time-series CSV", &ts_manifest,
-                 "point,series,window,start_ps,end_ps,value\n",
-                 &Outcome::timeseries_rows);
-    telemetry::RunManifest serving_manifest = sweep_manifest;
-    serving_manifest.scenario +=
-        scenario::hash_token("serving", t.serving) + platform_tokens;
-    // An empty plan is contractually a perfect no-op, so it must not
-    // perturb this file either: hash only plans that inject something.
-    if (t.faults && !t.faults->faults.empty()) {
-      serving_manifest.fault_spec_hash =
-          telemetry::fnv1a_hex(t.faults->to_json());
-    }
-    write_merged(serving_csv, "serving CSV", &serving_manifest,
-                 "point,tenant,arrival,generated,completed,dropped,slo_met,"
-                 "offered_qps,completed_qps,p50_ps,p99_ps,p999_ps,"
-                 "attainment_pct\n",
-                 &Outcome::serving_rows);
     if (t.observers.timeseries) {
       // Sweep-level percentile summary: per-point whole-run histograms
       // folded with Histogram::merge in submission order — associative
@@ -484,41 +397,96 @@ int main(int argc, char** argv) {
       std::printf("\nmerged time-series summary (all points):\n");
       summary.print();
     }
-    if (t.observers.profile) {
-      // One sweep-level profile: per-point snapshots folded in submission
-      // order (merge is commutative, so any fold order would agree — the
-      // fixed order keeps the bytes identical for any job count).
-      telemetry::ProfileSnapshot merged;
-      for (std::size_t i = 0; i < outcomes.size(); ++i) {
-        if (report.jobs[i].status == exec::JobStatus::kOk &&
-            outcomes[i].has_profile) {
-          merged.merge(outcomes[i].profile);
-        }
-      }
-      std::printf("\nhost profile: %llu events across %zu point(s), "
-                  "coverage %.1f%%\n",
-                  static_cast<unsigned long long>(merged.events_dispatched),
-                  outcomes.size(), merged.coverage() * 100.0);
-      telemetry::RunManifest manifest = sweep_manifest;
-      manifest.profile_tag_table_version =
-          telemetry::kProfilerTagTableVersion;
-      const scenario::Exports& e = t.exports;
-      if (!e.profile_json.empty()) {
-        merged.save_json(e.profile_json, &manifest);
-        std::printf("profile JSON written to %s\n", e.profile_json.c_str());
-      }
-      if (!e.profile_folded.empty()) {
-        merged.save_folded(e.profile_folded);
-        std::printf("folded stacks written to %s\n",
-                    e.profile_folded.c_str());
-      }
-    }
     if (runner.worker_count() > 1 || !report.all_ok()) {
       std::printf("\n%s\n", runner.summary().c_str());
     }
-    if (!exec_metrics_json.empty()) {
-      runner.metrics().save_json(exec_metrics_json, 0);
-      std::printf("exec metrics written to %s\n", exec_metrics_json.c_str());
+    if (!t.out.empty()) {
+      const std::string base = t.out + "/";
+      table.save_csv(base + "sweep.csv");
+      runner.metrics().save_json(base + "exec_metrics.json", 0);
+      // Sweep-level manifest: the knob and its values ARE the scenario;
+      // independent of --jobs, so the merged files stay byte-identical.
+      telemetry::RunManifest sweep_manifest;
+      sweep_manifest.tool = "fgqos_sweep";
+      sweep_manifest.seed = ec.base_seed;
+      sweep_manifest.build = telemetry::RunManifest::build_flavor();
+      sweep_manifest.scenario =
+          "knob=" + knob + " values=" + values_arg + " scheme=" + t.scheme;
+      const std::string platform_tokens =
+          (t.mapping.empty() ? "" : " mapping=" + t.mapping) +
+          scenario::hash_token("bank_budgets", t.bank_budgets);
+      // Merged CSVs: every point's pre-rendered rows in submission order.
+      const auto write_merged = [&](const char* name,
+                                    const telemetry::RunManifest* manifest,
+                                    const char* header,
+                                    std::string Outcome::*rows) {
+        std::ofstream out(base + name);
+        config_check(static_cast<bool>(out),
+                     "cannot open '" + base + name + "'");
+        if (manifest != nullptr) {
+          out << manifest->to_csv_comment();
+        }
+        out << header;
+        for (const Outcome& o : outcomes) {
+          out << o.*rows;
+        }
+      };
+      if (t.observers.blame_window_ps > 0) {
+        write_merged("blame.csv", nullptr,
+                     "point,scope,window_start_ps,window_end_ps,victim,"
+                     "aggressor,cause,stall_ps,bytes\n",
+                     &Outcome::blame_rows);
+      }
+      if (t.observers.timeseries) {
+        telemetry::RunManifest ts_manifest = sweep_manifest;
+        ts_manifest.scenario += platform_tokens;
+        if (t.faults) {
+          ts_manifest.fault_spec_hash =
+              telemetry::fnv1a_hex(t.faults->to_json());
+        }
+        write_merged("timeseries.csv", &ts_manifest,
+                     "point,series,window,start_ps,end_ps,value\n",
+                     &Outcome::timeseries_rows);
+      }
+      if (t.serving) {
+        telemetry::RunManifest serving_manifest = sweep_manifest;
+        serving_manifest.scenario +=
+            scenario::hash_token("serving", t.serving) + platform_tokens;
+        // An empty plan is contractually a perfect no-op, so it must not
+        // perturb this file either: hash only plans that inject something.
+        if (t.faults && !t.faults->faults.empty()) {
+          serving_manifest.fault_spec_hash =
+              telemetry::fnv1a_hex(t.faults->to_json());
+        }
+        write_merged("serving.csv", &serving_manifest,
+                     "point,tenant,arrival,generated,completed,dropped,"
+                     "slo_met,offered_qps,completed_qps,p50_ps,p99_ps,"
+                     "p999_ps,attainment_pct\n",
+                     &Outcome::serving_rows);
+      }
+      if (t.observers.profile) {
+        // One sweep-level profile: per-point snapshots folded in
+        // submission order (merge is commutative, so any fold order would
+        // agree — the fixed order keeps the bytes identical for any job
+        // count).
+        telemetry::ProfileSnapshot merged;
+        for (std::size_t i = 0; i < outcomes.size(); ++i) {
+          if (report.jobs[i].status == exec::JobStatus::kOk &&
+              outcomes[i].has_profile) {
+            merged.merge(outcomes[i].profile);
+          }
+        }
+        std::printf("\nhost profile: %llu events across %zu point(s), "
+                    "coverage %.1f%%\n",
+                    static_cast<unsigned long long>(merged.events_dispatched),
+                    outcomes.size(), merged.coverage() * 100.0);
+        telemetry::RunManifest manifest = sweep_manifest;
+        manifest.profile_tag_table_version =
+            telemetry::kProfilerTagTableVersion;
+        merged.save_json(base + "profile.json", &manifest);
+        merged.save_folded(base + "profile.folded");
+      }
+      std::printf("\nsweep bundle written to %s\n", t.out.c_str());
     }
     if (!report.all_ok()) {
       std::printf("%s\n", report.describe().c_str());
