@@ -37,13 +37,17 @@ std::uint64_t Interconnect::total_bytes_granted() const {
 }
 
 void Interconnect::set_attribution(telemetry::AttributionEngine* engine) {
+  if (attr_ != nullptr) {
+    attr_->remove_settler(this);
+  }
   attr_ = engine;
   last_accepted_master_ = telemetry::kNoOwner;
+  edge_cache_ = {};
   for (const auto& p : ports_) {
     p->set_attribution(engine);
   }
   if (attr_ != nullptr) {
-    attr_->add_settler([this] { settle_attribution(); });
+    attr_->add_settler(this, [this] { settle_attribution(); });
   }
 }
 
@@ -188,7 +192,8 @@ sim::TimePs Interconnect::attribution_pass(sim::Cycles cycle, sim::TimePs now,
                                           int first_granted) {
   const sim::TimePs prev = cycle > 0 ? clock().edge_time(cycle - 1) : 0;
   const bool window_edge =
-      cycle == 0 || attr_->window_edge(clock(), cycle - 1) == cycle;
+      cycle == 0 ||
+      attr_->window_edge(clock(), cycle - 1, edge_cache_) == cycle;
   sim::TimePs change = sim::kTimeNever;
   bool waiting = false;
   for (std::size_t i = 0; i < ports_.size(); ++i) {
@@ -229,7 +234,8 @@ sim::TimePs Interconnect::attribution_pass(sim::Cycles cycle, sim::TimePs now,
   }
   if (waiting) {
     change = std::min(
-        change, clock().edge_time(attr_->window_edge(clock(), cycle)));
+        change,
+        clock().edge_time(attr_->window_edge(clock(), cycle, edge_cache_)));
   }
   return change;
 }

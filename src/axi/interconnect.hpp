@@ -90,7 +90,8 @@ class Interconnect final : public sim::Clocked, public ResponseSink {
   /// its ports (nullptr disables; the default). When enabled, every
   /// crossbar tick classifies why each waiting head could not be granted
   /// and blames the responsible master; the crossbar keeps sleeping
-  /// between ticks as it does without attribution.
+  /// between ticks as it does without attribution. Detaching (nullptr)
+  /// also withdraws the crossbar's settler from the previous engine.
   void set_attribution(telemetry::AttributionEngine* engine);
 
   /// Fault seam on the response path: consulted once per finished line in
@@ -156,6 +157,7 @@ class Interconnect final : public sim::Clocked, public ResponseSink {
   std::vector<bool> eligible_;  ///< scratch, sized to master count
   int locked_master_ = -1;      ///< kTransaction: burst in progress
   telemetry::AttributionEngine* attr_ = nullptr;
+  telemetry::AttributionEngine::EdgeCache edge_cache_;
   ResponseFaultFn response_fault_;
   /// Master whose line most recently entered the slave; the default blame
   /// target when a grantable head stalls with no grant this cycle.

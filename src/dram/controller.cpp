@@ -21,6 +21,11 @@ std::uint32_t lowest_bank(std::size_t word, std::uint64_t bits) {
                                     static_cast<unsigned>(std::countr_zero(bits)));
 }
 
+bool any_bank(const std::vector<std::uint64_t>& bits) {
+  return std::any_of(bits.begin(), bits.end(),
+                     [](std::uint64_t word) { return word != 0; });
+}
+
 }  // namespace
 
 void ControllerConfig::validate() const {
@@ -51,6 +56,7 @@ Controller::Controller(sim::Simulator& sim, const sim::ClockDomain& clk,
     listed_[w].assign((cfg_.timing.banks + 63) / 64, 0);
     hit_banks_[w].assign(listed_[w].size(), 0);
   }
+  blame_dirty_.assign(listed_[0].size(), 0);
   queues_[0].capacity = cfg_.read_queue_depth;
   queues_[1].capacity = cfg_.write_queue_depth;
   slots_.resize(cfg_.read_queue_depth + cfg_.write_queue_depth);
@@ -314,6 +320,7 @@ void Controller::index_visible(sim::TimePs now) {
       (l.tail == kNil ? l.head : slots_[l.tail].b_next) = idx;
       l.tail = idx;
       set_bank_bit(listed_[w], s.e.where.bank, true);
+      set_bank_bit(blame_dirty_, s.e.where.bank, true);
       if (banks_[s.e.where.bank].row_hit(s.e.where.row)) {
         ++l.hits;
         if (l.oldest_hit == kNil) {
@@ -358,6 +365,7 @@ QueueEntry Controller::take(std::uint32_t idx) {
 
 void Controller::recount_hits(std::uint32_t bank) {
   const Bank& b = banks_[bank];
+  set_bank_bit(blame_dirty_, bank, true);
   for (std::size_t w = 0; w < 2; ++w) {
     BankList& l = index_[bank].dir[w];
     l.hits = 0;
@@ -632,64 +640,109 @@ bool Controller::decide(Cycle c, sim::TimePs now, bool serve_reads,
 Controller::Cycle Controller::attribution_pass(Cycle c, sim::TimePs now,
                                                bool serve_reads,
                                                bool serve_writes) {
-  const bool refresh_busy = c < refresh_busy_until_;
+  // Lines that turned visible while the next-decision gate skipped decide()
+  // join their bank lists now, in the order the next decide() would link
+  // them; recount_hits() keeps their hit counts right until it runs.
+  index_visible(now);
+  const BlameInputs in{c < refresh_busy_until_,
+                       {serve_reads, serve_writes},
+                       {c < dir_cas_ready(false), c < dir_cas_ready(true)},
+                       bus_owner_,
+                       read_block_owner_,
+                       write_block_owner_};
   const sim::TimePs prev = c > 0 ? clock().edge_time(c - 1) : 0;
-  const bool window_edge = c == 0 || attr_->window_edge(clock(), c - 1) == c;
-  // Earliest cycle at which a cell classified below changes on a timer; every
-  // other change comes with a command, refresh, accept() or a served-
-  // direction flip, all of which tick the controller.
-  Cycle change = kNever;
-  bool waiting = false;
-  auto pass_queue = [&](const Queue& q, bool served, bool is_write) {
-    for (std::uint32_t i = q.head; i != kNil; i = slots_[i].q_next) {
-      QueueEntry& e = slots_[i].e;
-      if (e.visible_at > now) {
-        break;  // the rest of the queue is not visible yet either
-      }
-      if (!e.wait.open) {
-        continue;
-      }
-      waiting = true;
-      const axi::MasterId victim = e.line.txn->master;
-      axi::MasterId aggressor;
-      telemetry::Cause cause;
-      if (refresh_busy) {
-        // tRFC blocks every bank; nobody's traffic is at fault.
-        aggressor = telemetry::kNoOwner;
-        cause = telemetry::Cause::kDramRefresh;
-        change = std::min(change, refresh_busy_until_);
-      } else if (!served) {
-        // Direction excluded from the scan: write-drain batching (or its
-        // read mirror) is bus-turnaround amortisation — the opposite
-        // direction owns the bus.
-        aggressor = bus_owner_;
+  const bool window_edge =
+      c == 0 || attr_->window_edge(clock(), c - 1, edge_cache_) == c;
+  // Off a window edge, charge_since() charges nothing for a wait whose cell
+  // is unchanged. With the controller-wide inputs as the last pass read
+  // them, only waits on a dirty bank can have a new cell, so the pass
+  // visits those alone.
+  const bool full =
+      window_edge || !blame_inputs_valid_ || in != blame_inputs_;
+  blame_inputs_ = in;
+  blame_inputs_valid_ = true;
+  const auto pass_entry = [&](QueueEntry& e, bool is_write) {
+    if (!e.wait.open) {
+      return;
+    }
+    const axi::MasterId victim = e.line.txn->master;
+    axi::MasterId aggressor;
+    telemetry::Cause cause;
+    if (in.refresh_busy) {
+      // tRFC blocks every bank; nobody's traffic is at fault.
+      aggressor = telemetry::kNoOwner;
+      cause = telemetry::Cause::kDramRefresh;
+    } else if (!in.served[is_write]) {
+      // Direction excluded from the scan: write-drain batching (or its
+      // read mirror) is bus-turnaround amortisation — the opposite
+      // direction owns the bus.
+      aggressor = bus_owner_;
+      cause = telemetry::Cause::kDramBusTurnaround;
+    } else {
+      const Bank& b = banks_[e.where.bank];
+      if (!b.row_open() || !b.row_hit(e.where.row)) {
+        // Row closed or holding someone else's row: PRE/ACT/tRCD
+        // exposure, blamed on whoever activated the bank last.
+        aggressor = bank_owner_[e.where.bank];
+        cause = telemetry::Cause::kDramBankConflict;
+      } else if (in.cas_blocked[is_write]) {
+        // Row ready but the direction's CAS window is pushed out by an
+        // opposite-direction burst (tWTR / tRTW).
+        aggressor = is_write ? write_block_owner_ : read_block_owner_;
         cause = telemetry::Cause::kDramBusTurnaround;
       } else {
-        const Bank& b = banks_[e.where.bank];
-        if (!b.row_open() || !b.row_hit(e.where.row)) {
-          // Row closed or holding someone else's row: PRE/ACT/tRCD
-          // exposure, blamed on whoever activated the bank last.
-          aggressor = bank_owner_[e.where.bank];
-          cause = telemetry::Cause::kDramBankConflict;
-        } else if (c < dir_cas_ready(is_write)) {
-          // Row ready but the direction's CAS window is pushed out by an
-          // opposite-direction burst (tWTR / tRTW).
-          aggressor = is_write ? write_block_owner_ : read_block_owner_;
-          cause = telemetry::Cause::kDramBusTurnaround;
-          change = std::min(change, dir_cas_ready(is_write));
-        } else {
-          // Schedulable but lost FR-FCFS / bus occupancy this cycle.
-          aggressor = bus_owner_;
-          cause = telemetry::Cause::kFabricArb;
+        // Schedulable but lost FR-FCFS / bus occupancy this cycle.
+        aggressor = bus_owner_;
+        cause = telemetry::Cause::kFabricArb;
+      }
+    }
+    attr_->charge_since(e.wait, victim, aggressor, cause, prev, now,
+                        window_edge, e.line.txn, e.where.bank);
+  };
+  if (full) {
+    for (std::size_t w = 0; w < queues_.size(); ++w) {
+      for (std::uint32_t i = queues_[w].head; i != kNil;
+           i = slots_[i].q_next) {
+        if (slots_[i].e.visible_at > now) {
+          break;  // the rest of the queue is not visible yet either
+        }
+        pass_entry(slots_[i].e, w != 0);
+      }
+    }
+  } else {
+    for (std::size_t word = 0; word < blame_dirty_.size(); ++word) {
+      for (std::uint64_t bits = blame_dirty_[word]; bits != 0;
+           bits &= bits - 1) {
+        const BankIndex& bi = index_[lowest_bank(word, bits)];
+        for (std::size_t w = 0; w < 2; ++w) {
+          for (std::uint32_t i = bi.dir[w].head; i != kNil;
+               i = slots_[i].b_next) {
+            pass_entry(slots_[i].e, w != 0);
+          }
         }
       }
-      attr_->charge_since(e.wait, victim, aggressor, cause, prev, now,
-                          window_edge, e.line.txn, e.where.bank);
     }
-  };
-  pass_queue(queues_[0], serve_reads, false);
-  pass_queue(queues_[1], serve_writes, true);
-  return waiting ? std::min(change, attr_->window_edge(clock(), c)) : change;
+  }
+  std::fill(blame_dirty_.begin(), blame_dirty_.end(), 0);
+  // While a line waits: the next window edge, or before it the first cycle
+  // at which a cell changes on a timer — the end of tRFC while refresh
+  // blocks every wait, else the end of a direction's turnaround window
+  // while a served row hit waits on it. Every other change comes with a
+  // command, refresh, accept() or a served-direction flip, all of which
+  // tick the controller. Every visible line is listed and waits. (A line
+  // queued before the engine was attached lists without a wait; it can
+  // only wake the controller on a cycle where no cell changes, which the
+  // sleep contract allows.)
+  if (!any_bank(listed_[0]) && !any_bank(listed_[1])) {
+    return kNever;
+  }
+  Cycle change = in.refresh_busy ? refresh_busy_until_ : kNever;
+  for (std::size_t w = 0; w < 2 && !in.refresh_busy; ++w) {
+    if (in.served[w] && in.cas_blocked[w] && any_bank(hit_banks_[w])) {
+      change = std::min(change, dir_cas_ready(w != 0));
+    }
+  }
+  return std::min(change, attr_->window_edge(clock(), c, edge_cache_));
 }
 
 void Controller::settle_attribution() {
@@ -712,10 +765,16 @@ void Controller::settle_attribution() {
 }
 
 void Controller::set_attribution(telemetry::AttributionEngine* engine) {
+  if (attr_ != nullptr) {
+    attr_->remove_settler(this);
+  }
   attr_ = engine;
   if (attr_ != nullptr) {
-    attr_->add_settler([this] { settle_attribution(); });
+    attr_->add_settler(this, [this] { settle_attribution(); });
   }
+  blame_inputs_valid_ = false;
+  std::fill(blame_dirty_.begin(), blame_dirty_.end(), 0);
+  edge_cache_ = {};
   bank_owner_.assign(banks_.size(), telemetry::kNoOwner);
   bus_owner_ = telemetry::kNoOwner;
   read_block_owner_ = telemetry::kNoOwner;

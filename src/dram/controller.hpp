@@ -134,7 +134,9 @@ class Controller final : public sim::Clocked, public axi::SlaveIf {
   /// attribution: a line's wait is charged in spans, one per blame cell,
   /// and the nap ends early at each cycle a waiting line's cell can change
   /// on a timer (the end of tRFC or of a turnaround window) and at each
-  /// window boundary (see AttributionEngine's wake rules).
+  /// window boundary (see AttributionEngine's wake rules). Detaching
+  /// (nullptr) also withdraws the controller's settler from the previous
+  /// engine.
   void set_attribution(telemetry::AttributionEngine* engine);
 
   /// Fault seam: divides tREFI by \p divisor (>= 1), modelling a refresh
@@ -227,15 +229,28 @@ class Controller final : public sim::Clocked, public axi::SlaveIf {
   /// per-bank lists. When nothing is legal, records in next_decision_ the
   /// first cycle at which that can change. Returns true when a CAS issued.
   bool decide(Cycle c, sim::TimePs now, bool serve_reads, bool serve_writes);
-  /// Blame pass: classifies every visible waiting queue entry and hands
-  /// the cell to AttributionEngine::charge_since(). Returns the first
-  /// cycle after \p c at which a cell changes on a timer or a window
-  /// boundary needs a charge (kNever when nothing waits).
+  /// Blame pass: classifies the visible waiting queue entries and hands
+  /// each cell to AttributionEngine::charge_since() — on a window edge, or
+  /// when a controller-wide input of a cell changed, every entry, else only
+  /// those on banks marked in blame_dirty_. Returns the first cycle after
+  /// \p c at which a cell changes on a timer or a window boundary needs a
+  /// charge (kNever when nothing waits).
   Cycle attribution_pass(Cycle c, sim::TimePs now, bool serve_reads,
                          bool serve_writes);
   /// AttributionEngine settler: carries every visible wait to the last
   /// edge a per-cycle controller would have ticked by now.
   void settle_attribution();
+
+  /// The controller-wide inputs of a blame cell, as one pass read them.
+  struct BlameInputs {
+    bool refresh_busy = false;          ///< c < refresh_busy_until_
+    std::array<bool, 2> served{};       ///< [is_write]
+    std::array<bool, 2> cas_blocked{};  ///< c < dir_cas_ready(), [is_write]
+    axi::MasterId bus_owner = telemetry::kNoOwner;
+    axi::MasterId read_block_owner = telemetry::kNoOwner;
+    axi::MasterId write_block_owner = telemetry::kNoOwner;
+    bool operator==(const BlameInputs&) const = default;
+  };
 
   ControllerConfig cfg_;
   AddressMapper mapper_;
@@ -292,6 +307,12 @@ class Controller final : public sim::Clocked, public axi::SlaveIf {
   axi::MasterId read_block_owner_ = telemetry::kNoOwner;   ///< last writer
   axi::MasterId write_block_owner_ = telemetry::kNoOwner;  ///< last reader
   Cycle refresh_busy_until_ = 0;  ///< tRFC window of the last refresh
+  BlameInputs blame_inputs_;         ///< as the last pass read them
+  bool blame_inputs_valid_ = false;  ///< false: the next pass visits all
+  /// Banks whose row or owner changed, or that listed a line, since the
+  /// last pass (recount_hits(), index_visible()); one bit per bank.
+  std::vector<std::uint64_t> blame_dirty_;
+  telemetry::AttributionEngine::EdgeCache edge_cache_;
 };
 
 }  // namespace fgqos::dram

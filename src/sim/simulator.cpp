@@ -34,7 +34,8 @@ void Clocked::wake_at(TimePs at) {
     return;
   }
   // Re-scheduling to an earlier edge leaves a stale entry in the heap; the
-  // run loop discards entries whose time no longer matches next_tick_.
+  // run loop discards entries whose time no longer matches next_tick_, and
+  // push_tick() reuses it if the component re-arms for its edge.
   next_tick_ = edge;
   next_cycle_ = cyc;
   scheduled_ = true;
@@ -63,6 +64,15 @@ void Simulator::register_clocked(Clocked& c) {
 }
 
 void Simulator::push_tick(Clocked& c) {
+  // A component woken early and re-arming for the far edge it slept
+  // towards finds that edge's entry still queued: the entry pops with the
+  // same (time, order) key a new one would, so it serves unchanged.
+  if (c.queued_tick_ == c.next_tick_) {
+    return;
+  }
+  if (c.queued_tick_ == kTimeNever || c.queued_tick_ < c.next_tick_) {
+    c.queued_tick_ = c.next_tick_;
+  }
   ticks_.push(TickEntry{c.next_tick_, c.order_, &c});
 }
 
@@ -133,6 +143,9 @@ void Simulator::run_loop(TimePs t_end) {
     }
     const TickEntry e = ticks_.pop();
     Clocked& c = *e.comp;
+    if (c.queued_tick_ == e.when) {
+      c.queued_tick_ = kTimeNever;
+    }
     if (!c.scheduled_ || c.next_tick_ != e.when) {
       continue;  // stale lazy-deleted entry
     }

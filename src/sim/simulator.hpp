@@ -100,6 +100,9 @@ class Clocked {
   bool scheduled_ = false;
   bool has_ticked_ = false;
   TimePs next_tick_ = 0;      ///< valid iff scheduled_
+  /// Time of this component's latest tick-queue entry not yet popped
+  /// (kTimeNever when none is known): re-arming for that edge reuses it.
+  TimePs queued_tick_ = kTimeNever;
   // Cached edge indices so the run loop never divides by the clock period:
   // each tick costs an increment instead of a 64-bit division.
   Cycles next_cycle_ = 0;     ///< edge index of next_tick_; valid iff scheduled_
@@ -186,6 +189,8 @@ class Simulator {
   [[nodiscard]] std::size_t event_queue_size() const {
     return events_.size();
   }
+  /// Current tick-queue occupancy, stale entries included.
+  [[nodiscard]] std::size_t tick_queue_size() const { return ticks_.size(); }
   /// Largest event-queue occupancy observed so far.
   [[nodiscard]] std::size_t max_event_queue() const {
     return events_.max_size();

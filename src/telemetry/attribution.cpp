@@ -1,6 +1,7 @@
 #include "telemetry/attribution.hpp"
 
 #include <fstream>
+#include <vector>
 
 #include "util/assert.hpp"
 #include "util/config_error.hpp"
@@ -32,7 +33,7 @@ void AttributionEngine::register_master(axi::MasterId id, std::string name) {
   const std::size_t cells = names_.size() * names_.size() * kCauseCount;
   window_cells_.assign(cells, Cell{});
   totals_.assign(cells, Cell{});
-  config_check(history_.empty(),
+  config_check(windows_closed_ == 0,
                "AttributionEngine: register masters before charging");
 }
 
@@ -40,13 +41,19 @@ void AttributionEngine::add_window_listener(WindowListener fn) {
   listeners_.push_back(std::move(fn));
 }
 
-void AttributionEngine::add_settler(std::function<void()> fn) {
-  settlers_.push_back(std::move(fn));
+void AttributionEngine::add_settler(const void* owner,
+                                    std::function<void()> fn) {
+  settlers_.emplace_back(owner, std::move(fn));
+}
+
+void AttributionEngine::remove_settler(const void* owner) {
+  std::erase_if(settlers_,
+                [owner](const auto& s) { return s.first == owner; });
 }
 
 void AttributionEngine::settle() {
-  for (const auto& fn : settlers_) {
-    fn();
+  for (const auto& s : settlers_) {
+    s.second();
   }
 }
 
@@ -55,7 +62,7 @@ void AttributionEngine::enable_bank_dimension(std::uint32_t banks) {
   config_check(!names_.empty(),
                "AttributionEngine: register masters before enabling the "
                "bank dimension");
-  config_check(history_.empty(),
+  config_check(windows_closed_ == 0,
                "AttributionEngine: enable the bank dimension before charging");
   banks_ = banks;
   bank_totals_.assign(names_.size() * banks_ * kCauseCount, Cell{});
@@ -194,7 +201,10 @@ void AttributionEngine::publish_window(sim::TimePs end) {
   for (const WindowListener& fn : listeners_) {
     fn(rec);
   }
-  history_.push_back(std::move(rec));
+  ++windows_closed_;
+  if (keep_windows_) {
+    history_.push_back(std::move(rec));
+  }
   window_cells_.assign(window_cells_.size(), Cell{});
   window_start_ = end;
 }
@@ -306,8 +316,8 @@ void AttributionEngine::write_csv(std::ostream& os, bool header,
   for (const WindowRecord& w : history_) {
     write_cells(os, w.cells, "window", w.start, w.end, row_prefix);
   }
-  const sim::TimePs end =
-      history_.empty() ? window_start_ : history_.back().end;
+  // The last closed window ended where the open one starts.
+  const sim::TimePs end = window_start_;
   write_cells(os, totals_, "total", 0, end, row_prefix);
   // Bank-dimension rows reuse the schema with the aggressor column holding
   // the bank label; absent entirely while the dimension is disabled, so
@@ -430,7 +440,7 @@ void AttributionEngine::publish_metrics() {
       }
     }
   }
-  set_counter("telemetry.attribution.windows", history_.size());
+  set_counter("telemetry.attribution.windows", windows_closed_);
   metrics_.gauge("telemetry.attribution.residual_ps")
       .set(static_cast<double>(residual_ps_));
 }

@@ -62,6 +62,7 @@
 #include <functional>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "axi/transaction.hpp"
@@ -147,6 +148,12 @@ class AttributionEngine {
 
   void add_window_listener(WindowListener fn);
 
+  /// With \p keep false, closed windows still reach the listeners and the
+  /// trace but are not stored: windows() stays empty and the exports hold
+  /// the totals alone. For runs that read only totals, where short windows
+  /// would otherwise pile up a record per window.
+  void keep_windows(bool keep) { keep_windows_ = keep; }
+
   /// Enables the per-bank blame dimension: charges carrying a bank id
   /// additionally accumulate into cumulative (victim, bank, cause) cells
   /// exported as `bank_total` CSV rows / `bank_totals` JSON and
@@ -221,8 +228,10 @@ class AttributionEngine {
   /// this engine: a call that carry()s each of its open waits to the last
   /// edge it would have ticked by now had it ticked every cycle
   /// (Clocked::next_polled_edge()). It must stay callable while the
-  /// engine settles.
-  void add_settler(std::function<void()> fn);
+  /// engine settles, until remove_settler(\p owner).
+  void add_settler(const void* owner, std::function<void()> fn);
+  /// Drops \p owner's settler (a component detaching); no-op when none.
+  void remove_settler(const void* owner);
 
   /// Runs every settler, so that reads between ticks see each stalled
   /// picosecond a per-cycle charger would have charged by now. finish()
@@ -237,10 +246,29 @@ class AttributionEngine {
   /// c is itself such an edge when window_edge(clk, c - 1) == c.
   [[nodiscard]] sim::Cycles window_edge(const sim::ClockDomain& clk,
                                         sim::Cycles c) const {
-    const sim::TimePs now = clk.edge_time(c);
-    const sim::Cycles last =
-        clk.cycles_at((now + window_ps_ - 1) / window_ps_ * window_ps_);
+    const sim::Cycles last = boundary_edge(clk, c);
     return last > c ? last : c + 1;
+  }
+
+  /// One component's memo of window_edge() on its clock: the edges
+  /// [lo, last] all lie in one window, and \c last is its last edge at or
+  /// before the window's boundary. Empty (lo > last) until first used;
+  /// reset it when the component attaches to an engine.
+  struct EdgeCache {
+    sim::Cycles lo = 1;
+    sim::Cycles last = 0;
+  };
+
+  /// window_edge() answered from \p cache, which divides only when \p c
+  /// leaves the cached range (once per window on a forward walk).
+  [[nodiscard]] sim::Cycles window_edge(const sim::ClockDomain& clk,
+                                        sim::Cycles c,
+                                        EdgeCache& cache) const {
+    if (c < cache.lo || c > cache.last) {
+      cache.lo = c;
+      cache.last = boundary_edge(clk, c);
+    }
+    return cache.last > c ? cache.last : c + 1;
   }
 
   /// Closes \p w at \p now: charges the final slice to the last observed
@@ -332,6 +360,15 @@ class AttributionEngine {
            static_cast<std::size_t>(cause);
   }
 
+  /// Last edge of \p clk at or before the first window boundary at or
+  /// after edge \p c. Every edge from \p c to it shares that boundary, as
+  /// each lies less than one window before it.
+  [[nodiscard]] sim::Cycles boundary_edge(const sim::ClockDomain& clk,
+                                          sim::Cycles c) const {
+    const sim::TimePs now = clk.edge_time(c);
+    return clk.cycles_at((now + window_ps_ - 1) / window_ps_ * window_ps_);
+  }
+
   /// Folds sentinel / self-blamed-arbitration charges onto (victim, self).
   void normalize(axi::MasterId victim, axi::MasterId& aggressor,
                  Cause& cause) const;
@@ -353,8 +390,10 @@ class AttributionEngine {
   std::uint32_t banks_ = 0;          ///< bank dimension size (0 = disabled)
   std::vector<Cell> bank_totals_;    ///< cumulative, M*banks*C
   std::vector<WindowRecord> history_;
+  bool keep_windows_ = true;
+  std::uint64_t windows_closed_ = 0;
   std::vector<WindowListener> listeners_;
-  std::vector<std::function<void()>> settlers_;
+  std::vector<std::pair<const void*, std::function<void()>>> settlers_;
   std::uint64_t residual_ps_ = 0;
   bool finished_ = false;
   TraceWriter* trace_ = nullptr;

@@ -8,6 +8,7 @@
 
 #include "dram/address_mapper.hpp"
 #include "dram/controller.hpp"
+#include "sim/time.hpp"
 
 namespace fgqos::dram {
 
@@ -28,14 +29,19 @@ struct PinCase {
 struct PinResult {
   std::uint64_t digest;
   std::uint64_t ticks;
-  /// testing::blame_record() of the run; empty without attribution.
+  /// testing::blame_record() and blame_totals() of the run; empty without
+  /// attribution.
   std::vector<std::uint64_t> blame;
+  std::vector<std::uint64_t> totals;
 };
 
 extern const std::vector<PinCase> kPinCases;
 
 /// Runs \p pc's stream; \p poll forces the controller to tick every cycle
-/// while work is queued.
-PinResult run_pin_case(const PinCase& pc, bool poll = false);
+/// while work is queued. \p blame_window_ps is the attribution window;
+/// without \p keep_windows the blame record holds the totals alone.
+PinResult run_pin_case(const PinCase& pc, bool poll = false,
+                       sim::TimePs blame_window_ps = sim::kPsPerUs,
+                       bool keep_windows = true);
 
 }  // namespace fgqos::dram

@@ -69,23 +69,11 @@ inline std::unique_ptr<ForcedPoll> force_poll(
   });
 }
 
-/// Everything an attribution engine recorded, flattened in a fixed order:
-/// each window's bounds and cells, the cumulative and per-bank totals and
-/// the conservation residual. Equal records mean equal exports.
-inline std::vector<std::uint64_t> blame_record(
+/// The cumulative and per-bank totals of an attribution engine and its
+/// conservation residual, flattened in a fixed order.
+inline std::vector<std::uint64_t> blame_totals(
     const telemetry::AttributionEngine& eng) {
   std::vector<std::uint64_t> out;
-  const auto cells = [&out](const auto& v) {
-    for (const auto& cell : v) {
-      out.push_back(cell.stall_ps);
-      out.push_back(cell.bytes);
-    }
-  };
-  for (const auto& w : eng.windows()) {
-    out.push_back(w.start);
-    out.push_back(w.end);
-    cells(w.cells);
-  }
   const auto masters = static_cast<axi::MasterId>(eng.master_count());
   for (axi::MasterId v = 0; v < masters; ++v) {
     for (std::size_t c = 0; c < telemetry::kCauseCount; ++c) {
@@ -103,6 +91,25 @@ inline std::vector<std::uint64_t> blame_record(
     }
   }
   out.push_back(eng.residual_ps());
+  return out;
+}
+
+/// Everything an attribution engine recorded, flattened in a fixed order:
+/// each window's bounds and cells, then blame_totals(). Equal records mean
+/// equal exports.
+inline std::vector<std::uint64_t> blame_record(
+    const telemetry::AttributionEngine& eng) {
+  std::vector<std::uint64_t> out;
+  for (const auto& w : eng.windows()) {
+    out.push_back(w.start);
+    out.push_back(w.end);
+    for (const auto& cell : w.cells) {
+      out.push_back(cell.stall_ps);
+      out.push_back(cell.bytes);
+    }
+  }
+  const std::vector<std::uint64_t> totals = blame_totals(eng);
+  out.insert(out.end(), totals.begin(), totals.end());
   return out;
 }
 

@@ -3,8 +3,9 @@
 // lookup, metrics publication), full-platform conservation of measured
 // vs charged stall, scheduling invariance with attribution on, span
 // charging by sleeping components against per-cycle charging by forced
-// polling ones, the host cost of attribution, sweep blame-CSV determinism
-// across worker counts, and the SLA watchdog's hysteresis and reporting.
+// polling ones, totals that do not depend on the window, detaching, the
+// host cost of attribution, sweep blame-CSV determinism across worker
+// counts, and the SLA watchdog's hysteresis and reporting.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +13,7 @@
 #include <map>
 #include <memory>
 #include <ostream>
+#include <random>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -134,6 +136,68 @@ TEST(Attribution, WindowRolloverPublishesAndResetsMatrix) {
   EXPECT_EQ(cause, Cause::kFabricArb);
   EXPECT_EQ(ps, 400u);
   EXPECT_FALSE(eng.dominant(w0.cells, 1, agg, cause, ps));
+}
+
+TEST(Attribution, UnkeptWindowsStillReachListenersAndTotals) {
+  telemetry::MetricsRegistry reg;
+  AttributionEngine eng(reg, 1000);
+  eng.register_master(0, "cpu");
+  eng.register_master(1, "hp0");
+  eng.keep_windows(false);
+  const std::size_t cell =
+      (0u * 2u + 1u) * telemetry::kCauseCount +
+      static_cast<std::size_t>(Cause::kFabricArb);
+  std::vector<std::uint64_t> seen;
+  eng.add_window_listener([&](const AttributionEngine::WindowRecord& w) {
+    seen.push_back(w.cells[cell].stall_ps);
+  });
+  eng.charge_span(0, 1, Cause::kFabricArb, 0, 400, nullptr);
+  eng.charge_span(0, 1, Cause::kFabricArb, 1500, 1600, nullptr);
+  eng.finish(2000);
+  EXPECT_TRUE(eng.windows().empty());
+  EXPECT_EQ(seen, (std::vector<std::uint64_t>{400, 100}));
+  EXPECT_EQ(eng.total(0, 1, Cause::kFabricArb).stall_ps, 500u);
+  eng.publish_metrics();
+  EXPECT_EQ(reg.counter("telemetry.attribution.windows").value(), 2u);
+  std::ostringstream csv;
+  eng.write_csv(csv, /*header=*/false);
+  EXPECT_EQ(csv.str(), "total,0,2000,cpu,hp0,fabric_arb,500,0\n");
+}
+
+// window_edge() with a per-component cache answers what the dividing one
+// does, on the walks components make: mostly forward, each tick asking
+// for edge c - 1 and then c, with jumps over naps and the odd step back,
+// for windows shorter than one clock period and windows that are no
+// multiple of it.
+TEST(Attribution, CachedWindowEdgeMatchesDividing) {
+  std::mt19937_64 rng(18);
+  for (const sim::TimePs period : {833u, 1000u, 3003u}) {
+    const sim::ClockDomain clk("c", period);
+    for (const sim::TimePs window :
+         {1u, 400u, 800u, 833u, 1000u, 1667u, 10'007u, 100'000u}) {
+      telemetry::MetricsRegistry reg;
+      AttributionEngine eng(reg, window);
+      AttributionEngine::EdgeCache cache;
+      sim::Cycles c = 0;
+      for (int step = 0; step < 20'000; ++step) {
+        if (c > 0) {
+          ASSERT_EQ(eng.window_edge(clk, c - 1, cache),
+                    eng.window_edge(clk, c - 1))
+              << "period " << period << " window " << window << " c " << c;
+        }
+        ASSERT_EQ(eng.window_edge(clk, c, cache), eng.window_edge(clk, c))
+            << "period " << period << " window " << window << " c " << c;
+        const std::uint64_t r = rng() % 16;
+        if (r == 0 && c > 4) {
+          c -= rng() % 4;  // step back
+        } else if (r < 4) {
+          c += 1 + rng() % (3 * window / period + 3);  // a nap
+        } else {
+          ++c;
+        }
+      }
+    }
+  }
 }
 
 TEST(Attribution, CsvAndJsonExports) {
@@ -272,10 +336,13 @@ struct PerturbRun {
   std::vector<std::unique_ptr<testing::ForcedPoll>> pollers;
 };
 
-/// One platform run of \p pc, finished; with 10 us blame windows when
+/// One platform run of \p pc, finished; with blame windows of
+/// \p blame_window_ps (stored unless \p keep_windows is false) when
 /// \p blame, and with the crossbar and every controller ticking every
 /// cycle when \p poll.
-PerturbRun run_perturb_case(const PerturbCase& pc, bool blame, bool poll) {
+PerturbRun run_perturb_case(const PerturbCase& pc, bool blame, bool poll,
+                            sim::TimePs blame_window_ps = 10 * sim::kPsPerUs,
+                            bool keep_windows = true) {
   soc::SocConfig cfg;
   cfg.default_regulator.observation_latency_ps = pc.lag_ps;
   cfg.dram_channels = pc.channels;
@@ -304,7 +371,7 @@ PerturbRun run_perturb_case(const PerturbCase& pc, bool blame, bool poll) {
     chip->arm_faults(fault::FaultPlan::from_json(pc.faults), 1);
   }
   if (blame) {
-    chip->enable_attribution(10 * sim::kPsPerUs);
+    chip->enable_attribution(blame_window_ps).keep_windows(keep_windows);
   }
   if (poll) {
     run.pollers.push_back(
@@ -401,14 +468,23 @@ INSTANTIATE_TEST_SUITE_P(
 // cases are the platform scenarios above and the attribution streams
 // ControllerPinned records.
 struct OracleRun {
-  std::vector<std::uint64_t> blame;  ///< testing::blame_record()
-  std::uint64_t ticks;               ///< memory-path ticks
+  std::vector<std::uint64_t> blame;   ///< testing::blame_record()
+  std::vector<std::uint64_t> totals;  ///< testing::blame_totals()
+  std::uint64_t ticks;                ///< memory-path ticks
 };
 
 struct OracleCase {
   std::string name;
-  std::function<OracleRun(bool poll)> run;
+  sim::TimePs window_ps;  ///< the case's blame window
+  std::function<OracleRun(bool poll, sim::TimePs window_ps,
+                          bool keep_windows)>
+      run;
 };
+
+OracleRun oracle_run(const AttributionEngine& eng, std::uint64_t ticks) {
+  return OracleRun{testing::blame_record(eng), testing::blame_totals(eng),
+                   ticks};
+}
 
 std::ostream& operator<<(std::ostream& os, const OracleCase& c) {
   return os << c.name;
@@ -417,12 +493,13 @@ std::ostream& operator<<(std::ostream& os, const OracleCase& c) {
 std::vector<OracleCase> oracle_cases() {
   std::vector<OracleCase> cases;
   for (const PerturbCase& pc : kPerturbCases) {
-    cases.push_back({pc.name, [pc](bool poll) {
-                       const PerturbRun r = run_perturb_case(pc, true, poll);
-                       return OracleRun{
-                           testing::blame_record(*r.chip->attribution()),
-                           memory_path_ticks(*r.chip)};
-                     }});
+    cases.push_back(
+        {pc.name, 10 * sim::kPsPerUs,
+         [pc](bool poll, sim::TimePs window, bool keep) {
+           const PerturbRun r = run_perturb_case(pc, true, poll, window, keep);
+           return oracle_run(*r.chip->attribution(),
+                             memory_path_ticks(*r.chip));
+         }});
   }
   for (const dram::PinCase& pc : dram::kPinCases) {
     if (!pc.attribution) {
@@ -430,10 +507,12 @@ std::vector<OracleCase> oracle_cases() {
     }
     std::string name = std::string("Controller_") + pc.name;
     std::replace(name.begin(), name.end(), '/', '_');
-    cases.push_back({name, [pc](bool poll) {
-                       dram::PinResult r = dram::run_pin_case(pc, poll);
-                       return OracleRun{std::move(r.blame), r.ticks};
-                     }});
+    cases.push_back(
+        {name, sim::kPsPerUs, [pc](bool poll, sim::TimePs window, bool keep) {
+           dram::PinResult r = dram::run_pin_case(pc, poll, window, keep);
+           return OracleRun{std::move(r.blame), std::move(r.totals),
+                            r.ticks};
+         }});
   }
   return cases;
 }
@@ -441,12 +520,29 @@ std::vector<OracleCase> oracle_cases() {
 class AttributionOracle : public ::testing::TestWithParam<OracleCase> {};
 
 TEST_P(AttributionOracle, SpanChargingMatchesPerCycleCharging) {
-  const OracleRun polled = GetParam().run(true);
-  const OracleRun slept = GetParam().run(false);
+  const OracleCase& c = GetParam();
+  const OracleRun polled = c.run(true, c.window_ps, true);
+  const OracleRun slept = c.run(false, c.window_ps, true);
   ASSERT_GT(polled.blame.size(), 1u);
   EXPECT_EQ(polled.blame.back(), 0u);  // the record ends with the residual
   EXPECT_EQ(slept.blame, polled.blame);
   EXPECT_LT(slept.ticks, polled.ticks);
+}
+
+// The forced-poll oracle above runs the same blame passes on both sides, so
+// a pass that skips a wait whose cell did change goes unseen there. A
+// window shorter than one clock period makes every edge a window edge, on
+// which every pass classifies every wait; the windows only split the
+// charges, so every total, bank total and the residual must come out as
+// with long windows, where most passes skip the waits that kept their
+// inputs. (The short windows are not stored: there is one per edge.)
+TEST_P(AttributionOracle, TotalsDoNotDependOnTheWindow) {
+  const OracleCase& c = GetParam();
+  const OracleRun long_windows = c.run(false, 100 * sim::kPsPerUs, false);
+  const OracleRun edge_windows = c.run(false, 800, false);
+  ASSERT_GT(long_windows.totals.size(), 1u);
+  EXPECT_EQ(long_windows.totals.back(), 0u);  // residual
+  EXPECT_EQ(edge_windows.totals, long_windows.totals);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -537,6 +633,45 @@ TEST(AttributionOracle, ContestedHeadTurnsSelfWithoutAGrant) {
     EXPECT_GT(polled_self, 0u) << (stall ? "stall" : "gate");
     EXPECT_EQ(slept, polled) << (stall ? "stall" : "gate");
   }
+}
+
+// Re-wiring the crossbar to another engine withdraws its settler from the
+// first: settling the old engine must not charge the new one, and after a
+// detach no engine reaches the crossbar.
+TEST(Attribution, RewiredCrossbarLeavesNoSettlerBehind) {
+  sim::Simulator sim;
+  sim::ClockDomain clk{"x", 1000};
+  axi::Interconnect xbar(sim, clk, axi::InterconnectConfig{"xbar", 1});
+  axi::MasterPort& a = xbar.add_master(axi::MasterPortConfig{});
+  axi::MasterPort& b = xbar.add_master(axi::MasterPortConfig{});
+  OneSlotSlave slave(sim, xbar);
+  xbar.set_slave(slave);
+  telemetry::MetricsRegistry reg;
+  AttributionEngine first(reg, sim::kPsPerUs);
+  AttributionEngine second(reg, sim::kPsPerUs);
+  for (AttributionEngine* eng : {&first, &second}) {
+    eng->register_master(0, "a");
+    eng->register_master(1, "b");
+  }
+  xbar.set_attribution(&first);
+  xbar.set_attribution(&second);
+  a.set_completion_handler([](const axi::Transaction&) {});
+  b.set_completion_handler([](const axi::Transaction&) {});
+  a.issue(axi::Dir::kRead, 0x0, 64);
+  b.issue(axi::Dir::kRead, 0x1000, 64);
+  sim.run_for(30'000);  // b's head waits on the line a holds in the slave
+  const std::vector<std::uint64_t> before = testing::blame_totals(second);
+  first.settle();
+  EXPECT_EQ(testing::blame_totals(second), before);
+  second.settle();
+  EXPECT_GT(second.blame_ps(1, 0), 0u);
+  xbar.set_attribution(nullptr);
+  const std::vector<std::uint64_t> detached = testing::blame_totals(second);
+  first.settle();
+  second.settle();
+  sim.run_for(sim::kPsPerUs);
+  EXPECT_EQ(b.stats().txns_completed.value(), 1u);
+  EXPECT_EQ(testing::blame_totals(second), detached);
 }
 
 // Host cost of attribution: on the fgqos_sim --scheme hw platform the

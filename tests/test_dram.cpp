@@ -294,7 +294,8 @@ std::unique_ptr<testing::ForcedPoll> force_poll(
 
 }  // namespace
 
-PinResult run_pin_case(const PinCase& pc, bool poll) {
+PinResult run_pin_case(const PinCase& pc, bool poll,
+                       sim::TimePs blame_window_ps, bool keep_windows) {
   ControllerConfig cfg;
   cfg.page_policy = pc.page;
   cfg.mapping = pc.mapping;
@@ -302,7 +303,8 @@ PinResult run_pin_case(const PinCase& pc, bool poll) {
   ControllerFixture f(cfg);
   constexpr axi::MasterId kMasters = 3;
   telemetry::MetricsRegistry reg;
-  telemetry::AttributionEngine eng(reg, sim::kPsPerUs);
+  telemetry::AttributionEngine eng(reg, blame_window_ps);
+  eng.keep_windows(keep_windows);
   if (pc.attribution) {
     for (axi::MasterId m = 0; m < kMasters; ++m) {
       eng.register_master(m, std::string(1, static_cast<char>('a' + m)));
@@ -373,9 +375,11 @@ PinResult run_pin_case(const PinCase& pc, bool poll) {
     }
     fnv_mix(h, eng.residual_ps());
   }
-  return {h, f.ctrl.ticks_fired(),
-          pc.attribution ? testing::blame_record(eng)
-                         : std::vector<std::uint64_t>{}};
+  if (!pc.attribution) {
+    return {h, f.ctrl.ticks_fired(), {}, {}};
+  }
+  return {h, f.ctrl.ticks_fired(), testing::blame_record(eng),
+          testing::blame_totals(eng)};
 }
 
 using MP = MappingPolicy;
@@ -568,6 +572,29 @@ TEST(Controller, ServesMoreThan64Banks) {
   for (std::uint32_t bank = 0; bank < t.banks; ++bank) {
     EXPECT_EQ(f.ctrl.bank_cas(0, bank), 6u) << "bank " << bank;
   }
+}
+
+// Detaching the blame engine withdraws the controller's settler: settling
+// the engine afterwards must not reach back into the controller, whose
+// engine pointer is null by then, and the queued lines still finish.
+TEST(Controller, DetachingAttributionLeavesNoSettler) {
+  ControllerFixture f;
+  telemetry::MetricsRegistry reg;
+  telemetry::AttributionEngine eng(reg, sim::kPsPerUs);
+  eng.register_master(0, "a");
+  f.ctrl.set_attribution(&eng);
+  for (axi::Addr i = 0; i < 8; ++i) {
+    f.ctrl.accept(f.line(i * 0x10'0000, false), f.sim.now());
+  }
+  f.sim.run_for(30'000);
+  f.ctrl.set_attribution(nullptr);
+  const std::uint64_t charged = eng.victim_stall_ps(0);
+  eng.settle();
+  EXPECT_EQ(eng.victim_stall_ps(0), charged);
+  f.sim.run_for(sim::kPsPerUs);
+  EXPECT_EQ(f.sink.done.size(), 8u);
+  eng.settle();
+  EXPECT_EQ(eng.victim_stall_ps(0), charged);
 }
 
 TEST(ControllerDeathTest, AcceptTimeMustNotGoBackwards) {

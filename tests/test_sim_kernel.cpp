@@ -2,8 +2,10 @@
 // determinism, histogram and stats.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/clock_domain.hpp"
@@ -259,6 +261,66 @@ TEST(Simulator, WakeAsPolledLandsWhereAPollingTickWould) {
   EXPECT_EQ(first_wake_tick(2), 300u);  // from an earlier-ordered tick
   EXPECT_EQ(first_wake_tick(3), 400u);  // from a later-ordered tick
   EXPECT_EQ(first_wake_tick(4), 400u);
+}
+
+/// Sleeps towards one far edge; every tick before it re-arms that edge.
+class FarSleeper final : public Clocked {
+ public:
+  FarSleeper(Simulator& s, const ClockDomain& clk, TimePs far, int id,
+             std::vector<std::pair<TimePs, int>>& log)
+      : Clocked(s, clk, "sleeper"), far_(far), id_(id), log_(log) {}
+  std::size_t max_tick_queue = 0;
+
+  bool tick(Cycles) override {
+    log_.emplace_back(simulator().now(), id_);
+    max_tick_queue =
+        std::max(max_tick_queue, simulator().tick_queue_size());
+    if (simulator().now() < far_) {
+      wake_at(far_);
+    }
+    return false;
+  }
+
+ private:
+  TimePs far_;
+  int id_;
+  std::vector<std::pair<TimePs, int>>& log_;
+};
+
+// Components woken early again and again, each time going back to sleep
+// towards the same far edge, reuse that edge's queued entry: the tick
+// queue holds O(components) entries however many wakes there were, and
+// ticks still dispatch in (time, registration order).
+TEST(Simulator, RearmingAFarEdgeReusesItsQueuedTick) {
+  Simulator s;
+  ClockDomain clk("c", 100);
+  constexpr TimePs kFar = 1'000'000;
+  std::vector<std::pair<TimePs, int>> log;
+  FarSleeper a(s, clk, kFar, 0, log);
+  FarSleeper b(s, clk, kFar, 1, log);
+  std::vector<std::pair<TimePs, int>> expected = {{0, 0}, {0, 1}};
+  bool together = true;
+  for (TimePs t = 250; t < kFar - 1000; t += 3'000, together = !together) {
+    // b is always woken first; woken for the same edge, a still ticks
+    // before b.
+    const TimePs a_wake = together ? t : t + 100;
+    s.schedule_at(t, [&b] { b.wake_at(b.simulator().now()); });
+    s.schedule_at(a_wake, [&a] { a.wake_at(a.simulator().now()); });
+    if (together) {
+      expected.emplace_back(t + 50, 0);
+      expected.emplace_back(t + 50, 1);
+    } else {
+      expected.emplace_back(t + 50, 1);
+      expected.emplace_back(t + 150, 0);
+    }
+  }
+  expected.emplace_back(kFar, 0);
+  expected.emplace_back(kFar, 1);
+  s.run_until(2 * kFar);
+  EXPECT_EQ(log, expected);
+  EXPECT_LE(a.max_tick_queue, 4u);
+  EXPECT_LE(b.max_tick_queue, 4u);
+  EXPECT_EQ(s.tick_queue_size(), 0u);
 }
 
 TEST(Simulator, TickCountAdvances) {
