@@ -76,6 +76,7 @@ bool Interconnect::tick(sim::Cycles cycle) {
   // end-of-tick attribution pass runs on every tick, including the
   // locked-burst stall paths.
   int first_granted = -1;
+  bool granted = false;
   bool hold = false;
   // Sleep bookkeeping, valid when `settled`: the last port scan plus the
   // grant that followed it cover every port. `retry` is the earliest time
@@ -148,6 +149,7 @@ bool Interconnect::tick(sim::Cycles cycle) {
     MasterPort& winner = *ports_[static_cast<std::size_t>(pick)];
     LineRequest line = winner.commit_grant(now);
     slave_->accept(line, now);
+    granted = true;
     if (settled && winner.grant_block_reason(now, retry) ==
                        MasterPort::BlockReason::kNone) {
       retry = now;
@@ -161,6 +163,9 @@ bool Interconnect::tick(sim::Cycles cycle) {
     if (cfg_.granularity == ArbGranularity::kTransaction) {
       locked_master_ = line.last_of_txn ? -1 : pick;
     }
+  }
+  if (granted) {
+    note_busy_tick();
   }
   const sim::TimePs cell_change =
       attr_ != nullptr ? attribution_pass(cycle, now, first_granted)

@@ -9,6 +9,7 @@
 /// high/low watermarks.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <vector>
@@ -197,7 +198,71 @@ class Controller final : public sim::Clocked, public axi::SlaveIf {
 
   struct BankIndex {
     std::array<BankList, 2> dir;  ///< [is_write]
-    std::uint32_t group = 0;      ///< cached TimingConfig::group_of
+  };
+
+  /// Selection key of no command: above every real one.
+  static constexpr std::uint64_t kNoKey = ~std::uint64_t{0};
+
+  /// The command a bank's candidate is for.
+  enum class Command : std::uint8_t {
+    kAct,  ///< row closed
+    kPre,  ///< row open, no visible entry hits it
+    kCas,  ///< row open with visible hits
+  };
+
+  /// One bank's entry of the candidate table: what the bank would issue
+  /// next, read off its lists and row state by candidate_of(). Only
+  /// the shared limits (tRRD/tFAW, bank-group tRRD_L/tCCD_L, tCCD_S, the
+  /// data bus and turnaround) are left for decide() to fold in.
+  struct Candidate {
+    Cycle earliest = 0;  ///< bank-local act_ready, pre_ready or cas_ready
+    /// Per direction [is_write], the key (key_of()) of the entry the
+    /// command is for: the oldest open-row hit (kCas), else the list head;
+    /// kNoKey when there is none.
+    std::array<std::uint64_t, 2> key{kNoKey, kNoKey};
+    std::uint32_t group = 0;  ///< cached TimingConfig::group_of
+    Command command = Command::kAct;
+    bool operator==(const Candidate&) const = default;
+  };
+
+  /// Commands offered to one decision: the least key of a legal CAS and
+  /// of a legal PRE/ACT, how many of each were legal, and the least ready
+  /// cycle of an illegal one. Branch-free.
+  struct Selection {
+    std::uint64_t cas = kNoKey;
+    std::uint64_t prep = kNoKey;
+    std::uint32_t cas_legal = 0;
+    std::uint32_t prep_legal = 0;
+    std::uint32_t pre_legal = 0;  ///< the PREs among prep_legal
+    Cycle next = kNever;
+
+    void offer_cas(std::uint64_t key, Cycle ready, Cycle c) {
+      cas_legal += fold(cas, key, ready, c);
+    }
+    void offer_prep(std::uint64_t key, Cycle ready, Cycle c, bool pre) {
+      const std::uint32_t legal = fold(prep, key, ready, c);
+      prep_legal += legal;
+      pre_legal += legal & static_cast<std::uint32_t>(pre);
+    }
+    void merge(const Selection& o) {
+      cas = std::min(cas, o.cas);
+      prep = std::min(prep, o.prep);
+      cas_legal += o.cas_legal;
+      prep_legal += o.prep_legal;
+      pre_legal += o.pre_legal;
+      next = std::min(next, o.next);
+    }
+
+   private:
+    /// Returns 1 when the command is legal at \p c, else 0.
+    std::uint32_t fold(std::uint64_t& best, std::uint64_t key, Cycle ready,
+                       Cycle c) {
+      const std::uint64_t illegal =
+          std::uint64_t{0} - static_cast<std::uint64_t>(ready > c);
+      best = std::min(best, key | illegal);
+      next = std::min(next, ready | ~illegal);
+      return static_cast<std::uint32_t>(~illegal & 1);
+    }
   };
 
   void do_refresh(Cycle c);
@@ -215,6 +280,25 @@ class Controller final : public sim::Clocked, public axi::SlaveIf {
   void recount_hits(std::uint32_t bank);
   /// Visibility cycle of the oldest entry not yet indexed (kNever if none).
   [[nodiscard]] Cycle next_visible_cycle() const;
+  /// Selection key of queue slot \p idx (kNoKey for kNil): its arrival
+  /// seq above its bank index, so that keys order as seqs (which are
+  /// unique) and the least key names its bank.
+  [[nodiscard]] std::uint64_t key_of(std::uint32_t idx) const;
+  [[nodiscard]] std::uint32_t bank_of_key(std::uint64_t key) const {
+    return static_cast<std::uint32_t>(key & (cfg_.timing.banks - 1));
+  }
+  /// Bank \p bank's candidate, read off its lists and row state.
+  [[nodiscard]] Candidate candidate_of(std::uint32_t bank) const;
+  /// Debug cross-check: every listed bank's table entry is current (every
+  /// change to a bank's lists or row state marked it dirty).
+  [[nodiscard]] bool candidates_current() const;
+  /// Write-drain hysteresis: the drain mode at the current queue sizes,
+  /// coming from mode \p draining.
+  [[nodiscard]] bool drain_mode(bool draining) const;
+  /// The directions [is_write] a decision at cycle \p c (edge time \p now)
+  /// serves in drain mode \p draining, aged queue heads included.
+  [[nodiscard]] std::array<bool, 2> served_dirs(Cycle c, sim::TimePs now,
+                                                bool draining) const;
   /// One scheduling cycle: refresh, drain/aging flags, then decide()
   /// unless the next-decision gate is closed. Returns true when the
   /// command bus was used (refresh or CAS). Reports the scan-direction
@@ -226,8 +310,9 @@ class Controller final : public sim::Clocked, public axi::SlaveIf {
   /// act or, if earlier, \p wake. Returns tick()'s keep-ticking result.
   bool nap(Cycle c, Cycle wake);
   /// Issues at most one command (CAS first, else PRE/ACT) chosen from the
-  /// per-bank lists. When nothing is legal, records in next_decision_ the
-  /// first cycle at which that can change. Returns true when a CAS issued.
+  /// candidate table. Records in next_decision_ a cycle before which no
+  /// command can become legal while the served directions stay as they
+  /// are (0: decide again next cycle). Returns true when a CAS issued.
   bool decide(Cycle c, sim::TimePs now, bool serve_reads, bool serve_writes);
   /// Blame pass: classifies the visible waiting queue entries and hands
   /// each cell to AttributionEngine::charge_since() — on a window edge, or
@@ -258,8 +343,15 @@ class Controller final : public sim::Clocked, public axi::SlaveIf {
   std::uint32_t prof_tag_done_ = 0;  ///< host-profiler tag, dram.line_done
   std::vector<Bank> banks_;
   std::vector<BankIndex> index_;  ///< per bank
+  /// Candidate table, per bank; an entry is current unless its bank is
+  /// marked in cand_dirty_ (by index_visible(), take(), issue_cas() and
+  /// recount_hits(), i.e. on a listing, CAS, ACT, PRE or refresh).
+  std::vector<Candidate> cand_;
+  std::vector<std::uint64_t> cand_dirty_;
+  unsigned bank_bits_ = 0;  ///< log2(banks): key_of()'s shift
   /// Bank sets, one bit per bank, [is_write]: selection visits only banks
-  /// whose list is nonempty (prep) or holds open-row hits (CAS).
+  /// whose list holds open-row hits (CAS) or is nonempty without hits in
+  /// either direction (PRE/ACT).
   std::array<std::vector<std::uint64_t>, 2> listed_;
   std::array<std::vector<std::uint64_t>, 2> hit_banks_;
   std::vector<Slot> slots_;       ///< storage for both queues

@@ -87,6 +87,14 @@ class Clocked {
   /// per-component dispatch attribution).
   [[nodiscard]] std::uint64_t ticks_fired() const { return ticks_fired_; }
 
+  /// Ticks on which the component did useful work: those it reported with
+  /// note_busy_tick() (a DRAM command, a crossbar grant).
+  [[nodiscard]] std::uint64_t busy_ticks() const { return busy_ticks_; }
+
+ protected:
+  /// Counts the current tick as busy; call at most once per tick.
+  void note_busy_tick() { ++busy_ticks_; }
+
  private:
   friend class Simulator;
   Simulator& sim_;
@@ -94,6 +102,7 @@ class Clocked {
   std::string name_;
   std::uint64_t order_ = 0;   ///< registration order, for deterministic ties
   std::uint64_t ticks_fired_ = 0;
+  std::uint64_t busy_ticks_ = 0;
   /// Host-profiler tag ("tick.<name>"), assigned lazily by the profiled
   /// run loop on this component's first profiled tick.
   std::uint32_t prof_tag_ = 0;

@@ -657,13 +657,19 @@ telemetry::MetricsRegistry& Soc::collect_metrics() {
   set_counter("sim.events_dispatched", sim_.events_dispatched());
   set_counter("sim.ticks", sim_.tick_count());
   // Awake ticks per clocked component: which components a run keeps
-  // awake, and so where its host time goes.
+  // awake, and so where its host time goes. The memory path also reports
+  // how many of them did work (busy_ticks: a crossbar grant, a DRAM
+  // command or refresh).
   const auto set_ticks = [&](const std::string& name, const sim::Clocked& c) {
     set_counter("sim.clocked." + name + ".ticks", c.ticks_fired());
   };
-  set_ticks(xbar_->name(), *xbar_);
+  const auto set_busy = [&](const std::string& name, const sim::Clocked& c) {
+    set_ticks(name, c);
+    set_counter("sim.clocked." + name + ".busy_ticks", c.busy_ticks());
+  };
+  set_busy(xbar_->name(), *xbar_);
   for (std::size_t ch = 0; ch < drams_.size(); ++ch) {
-    set_ticks("dram.ch" + std::to_string(ch), *drams_[ch]);
+    set_busy("dram.ch" + std::to_string(ch), *drams_[ch]);
   }
   set_ticks(cluster_->name(), *cluster_);
   for (std::size_t c = 0; c < cluster_->core_count(); ++c) {

@@ -159,6 +159,44 @@ TEST(SocIntegration, CollectStatsExposesKeyMetrics) {
   EXPECT_DOUBLE_EQ(r.get("core.c0.iterations"), 1.0);
 }
 
+// The memory path publishes its busy ticks next to its ticks: a DRAM
+// channel's count every command it issued, the crossbar's every tick that
+// granted a line (up to issue_width lines each).
+TEST(SocIntegration, PublishesBusyTicks) {
+  SocConfig cfg;
+  Soc chip(cfg);
+  wl::TrafficGenConfig rd;
+  rd.pattern = wl::Pattern::kRandomRead;
+  chip.add_traffic_gen(0, rd);
+  wl::TrafficGenConfig wr;
+  wr.pattern = wl::Pattern::kSeqWrite;
+  chip.add_traffic_gen(1, wr);
+  chip.run_for(sim::kPsPerMs);
+  sim::StatsRegistry r;
+  chip.collect_stats(r);
+
+  const dram::ControllerStats& ds = chip.dram().stats();
+  const std::uint64_t commands =
+      ds.reads_serviced.value() + ds.writes_serviced.value() +
+      ds.activations.value() + ds.conflict_precharges.value() +
+      ds.refreshes.value();
+  EXPECT_GT(ds.writes_serviced.value(), 0u);
+  EXPECT_GT(ds.refreshes.value(), 0u);
+  EXPECT_EQ(r.get("sim.clocked.dram.ch0.busy_ticks"),
+            static_cast<double>(commands));
+  EXPECT_LE(r.get("sim.clocked.dram.ch0.busy_ticks"),
+            r.get("sim.clocked.dram.ch0.ticks"));
+
+  const std::string xbar = "sim.clocked." + chip.xbar().name() + ".";
+  const double lines = static_cast<double>(chip.xbar().total_bytes_granted()) /
+                       static_cast<double>(cfg.cpu_port.line_bytes);
+  const double busy = r.get(xbar + "busy_ticks");
+  EXPECT_GT(busy, 0.0);
+  EXPECT_LE(busy, lines);
+  EXPECT_GE(busy * static_cast<double>(cfg.xbar.issue_width), lines);
+  EXPECT_LE(busy, r.get(xbar + "ticks"));
+}
+
 TEST(QosManager, AdmissionControlRejectsOversubscription) {
   SocConfig cfg;
   Soc chip(cfg);

@@ -4,7 +4,8 @@
 #   cmake -DOUTPUT=<file> -DGOLDEN=<file> [-DDROP_REGEX=<regex>]
 #         -P tool_golden.cmake -- <tool> <args...>
 #     The command must exit 0 and write OUTPUT; lines of OUTPUT matching
-#     DROP_REGEX are removed, then the rest must equal GOLDEN byte for byte.
+#     DROP_REGEX are removed, then the rest must equal GOLDEN byte for byte
+#     but for the run manifest's build= token, masked on both sides.
 #
 #   cmake -DEXPECT_ERROR=<regex> -P tool_golden.cmake -- <tool> <args...>
 #     The command must exit non-zero and print an `error:` line on stderr
@@ -61,8 +62,16 @@ if(DEFINED DROP_REGEX)
   set(actual "${OUTPUT}.kept")
   file(WRITE "${actual}" "${text}\n")
 endif()
-execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files "${actual}"
-                        "${GOLDEN}" RESULT_VARIABLE differs)
-if(NOT differs EQUAL 0)
+# The manifest line's build= token names the build type the tool was
+# compiled as (telemetry/manifest.cpp stamps it from NDEBUG); it is
+# informational, so every build type must match the same golden.
+file(READ "${actual}" actual_text)
+file(READ "${GOLDEN}" golden_text)
+set(build_token "(# fgqos-manifest [^\n]*) build=[^ \n]*")
+string(REGEX REPLACE "${build_token}" "\\1 build=*" actual_text
+       "${actual_text}")
+string(REGEX REPLACE "${build_token}" "\\1 build=*" golden_text
+       "${golden_text}")
+if(NOT actual_text STREQUAL golden_text)
   message(FATAL_ERROR "${actual} differs from ${GOLDEN}")
 endif()
