@@ -435,28 +435,28 @@ TEST(InterconnectSleep, InjectStallResumesAtDataFree) {
   EXPECT_EQ(f.xbar.ticks_fired(), 3u);
 }
 
-/// Runs two always-busy ports against a one-slot slave and returns the
-/// grant times of both plus the crossbar's tick count.
+/// Runs \p ports always-busy ports, each issuing \p txn_bytes bursts at
+/// \p port_bandwidth_bps, against a one-slot slave and returns the grant
+/// times of all of them plus the crossbar's tick count.
 std::pair<std::vector<sim::TimePs>, std::uint64_t> run_backpressured(
-    bool slave_signals) {
+    bool slave_signals, double port_bandwidth_bps = 1e12,
+    std::uint32_t txn_bytes = 64, std::size_t ports = 2) {
   XbarFixture f;
   MasterPortConfig pc;
-  pc.port_bandwidth_bps = 1e12;
-  MasterPort& a = f.xbar.add_master(pc);
-  MasterPort& b = f.xbar.add_master(pc);
+  pc.port_bandwidth_bps = port_bandwidth_bps;
   FixedLatencySlave slave(f.sim, f.xbar, 30'300, 1, slave_signals);
   f.xbar.set_slave(slave);
   GrantTimes grants;
-  a.add_observer(grants);
-  b.add_observer(grants);
-  a.set_completion_handler([&](const Transaction&) {
-    a.issue(Dir::kRead, 0x0, 64);
-  });
-  b.set_completion_handler([&](const Transaction&) {
-    b.issue(Dir::kRead, 0x1000, 64);
-  });
-  a.issue(Dir::kRead, 0x0, 64);
-  b.issue(Dir::kRead, 0x1000, 64);
+  for (std::size_t i = 0; i < ports; ++i) {
+    MasterPort& p = f.xbar.add_master(pc);
+    const Addr addr = 0x1000 * i;
+    p.add_observer(grants);
+    p.set_completion_handler(
+        [&p, addr, txn_bytes](const Transaction&) {
+          p.issue(Dir::kRead, addr, txn_bytes);
+        });
+    p.issue(Dir::kRead, addr, txn_bytes);
+  }
   f.sim.run_for(4'000'000);
   return {grants.at, f.xbar.ticks_fired()};
 }
@@ -467,6 +467,23 @@ TEST(InterconnectSleep, SignallingSlaveRefusalSleepsUntilSpaceFreed) {
   ASSERT_GT(polled.size(), 100u);
   EXPECT_EQ(slept, polled);  // same grant on the same edge, every time
   EXPECT_LT(slept_ticks * 3, polled_ticks);
+}
+
+// A port in its pace gap whose line the signalling slave refuses wakes
+// nobody when the gap ends: the slave still refuses the line then, and only
+// space_freed() can change that. One port streams 1 KiB bursts at the
+// default 4.8 GB/s (a 13.3 ns gap per line) into a slot that is busy for
+// 30.3 ns, so every grant starts a gap that ends while the slot is taken:
+// the crossbar ticks once per grant, plus once per burst on the edge that
+// finds the port empty.
+TEST(InterconnectSleep, PaceGapBehindARefusalSleepsUntilSpaceFreed) {
+  const double bps = MasterPortConfig{}.port_bandwidth_bps;
+  const auto [polled, polled_ticks] = run_backpressured(false, bps, 1024, 1);
+  const auto [slept, slept_ticks] = run_backpressured(true, bps, 1024, 1);
+  ASSERT_GT(polled.size(), 100u);
+  EXPECT_EQ(slept, polled);  // same grant on the same edge, every time
+  EXPECT_LT(static_cast<double>(slept_ticks),
+            1.1 * static_cast<double>(slept.size()));
 }
 
 }  // namespace
