@@ -1,5 +1,6 @@
 #include "dram/timing.hpp"
 
+#include "dram/bank_set.hpp"
 #include "util/config_error.hpp"
 
 namespace fgqos::dram {
@@ -15,6 +16,9 @@ void TimingConfig::validate() const {
                "TimingConfig: banks must be a power of two");
   config_check(bank_groups > 0 && banks % bank_groups == 0,
                "TimingConfig: banks must divide evenly into bank groups");
+  config_check(banks <= BankSet::kMaxBanks,
+               "TimingConfig: at most 256 banks");
+  config_check(bank_groups <= 64, "TimingConfig: at most 64 bank groups");
   config_check(tRRD_L >= tRRD_S, "TimingConfig: tRRD_L must cover tRRD_S");
   config_check(tCCD_L >= tCCD_S, "TimingConfig: tCCD_L must cover tCCD_S");
   config_check(row_bytes >= burst_bytes,
