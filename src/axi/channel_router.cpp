@@ -1,6 +1,6 @@
 #include "axi/channel_router.hpp"
 
-#include <algorithm>
+#include <utility>
 
 #include "util/config_error.hpp"
 
@@ -27,11 +27,6 @@ void ChannelRouter::accept(LineRequest line, sim::TimePs now) {
   const std::size_t ch = route(line.addr);
   ++counts_[ch];
   channels_[ch]->accept(line, now);
-}
-
-bool ChannelRouter::signals_space() const {
-  return std::all_of(channels_.begin(), channels_.end(),
-                     [](const SlaveIf* c) { return c->signals_space(); });
 }
 
 }  // namespace fgqos::axi

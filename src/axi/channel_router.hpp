@@ -4,9 +4,9 @@
 /// Larger devices of the family (Versal, MPSoC with PL-DDR) expose more
 /// than one DRAM channel; lines are interleaved across channels on a
 /// configurable granularity. The router implements SlaveIf towards the
-/// crossbar and fans out to one Controller per channel; responses flow
-/// back through the shared ResponseSink unchanged (the LineRequest keeps
-/// its transaction pointer).
+/// crossbar and fans out to one Controller per channel; responses and
+/// freed space flow back through the shared ResponseSink unchanged (the
+/// LineRequest keeps its transaction pointer).
 #pragma once
 
 #include <cstdint>
@@ -42,9 +42,6 @@ class ChannelRouter final : public SlaveIf {
   [[nodiscard]] bool can_accept(const LineRequest& line,
                                 sim::TimePs now) const override;
   void accept(LineRequest line, sim::TimePs now) override;
-  /// True when every channel signals: each one reports freed space to the
-  /// shared ResponseSink itself.
-  [[nodiscard]] bool signals_space() const override;
 
  private:
   std::vector<SlaveIf*> channels_;

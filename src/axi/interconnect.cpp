@@ -76,7 +76,7 @@ bool Interconnect::refused_after_gap(const MasterPort& p, sim::TimePs now,
   // attribution on, the gap's end moves the port's blame cell, so the
   // timer stays. A gap ending no earlier than \p retry needs no check: the
   // crossbar wakes by then anyway.
-  return gap_end < retry && slave_signals_ && attr_ == nullptr &&
+  return gap_end < retry && attr_ == nullptr &&
          !slave_->can_accept(p.peek_line(now), now);
 }
 
@@ -95,7 +95,7 @@ bool Interconnect::tick(sim::Cycles cycle) {
   // a port can turn grantable without notifying (see grant_block_reason).
   bool settled = false;
   sim::TimePs retry = sim::kTimeNever;
-  bool refused = false;  // a grantable line the signalling slave refused
+  bool refused = false;  // a grantable line the slave refused
   for (std::size_t grant = 0; grant < cfg_.issue_width && !hold; ++grant) {
     int pick = -1;
     if (locked_master_ >= 0) {
@@ -147,10 +147,8 @@ bool Interconnect::tick(sim::Cycles cycle) {
           ok = slave_->can_accept(p.peek_line(now), now);
           if (ok) {
             ++eligible;
-          } else if (slave_signals_) {
-            refused = true;
           } else {
-            retry = now;
+            refused = true;
           }
         }
         eligible_[i] = ok;
@@ -257,9 +255,8 @@ sim::TimePs Interconnect::attribution_pass(sim::Cycles cycle, sim::TimePs now,
         attr_->charge_since(w, victim, aggressor,
                             telemetry::Cause::kFabricArb, prev, now,
                             window_edge, p.attr_head(now));
-        // Next cycle the blame moves to the last line accepted, and a gate
-        // that does not signal may shut this port on any cycle.
-        if (aggressor != last_accepted_master_ || !p.gates_signal()) {
+        // Next cycle the blame moves to the last line accepted.
+        if (aggressor != last_accepted_master_) {
           change = now;
         }
         break;

@@ -10,10 +10,9 @@
 ///
 /// The crossbar sleeps through cycles in which no port can be granted: it
 /// wakes itself for the first head turning visible or port rate limiter
-/// freeing up, and relies on issue(), signalling gates
-/// (TxnGate::signals_reopen) and a signalling slave (SlaveIf::signals_space)
-/// for every other change. It keeps ticking while a blocker that does not
-/// signal holds a port and while a kTransaction burst holds the fabric.
+/// freeing up, and relies on issue(), the gates (TxnGate::reopened) and
+/// the slave (ResponseSink::space_freed) for every other change. It keeps
+/// ticking only while a kTransaction burst holds the fabric.
 /// Attribution does not keep it awake: a head's wait is charged in spans,
 /// one per blame cell, and the crossbar only adds the wakes at which a
 /// head's cell can change without a grant or a signal (see
@@ -34,6 +33,10 @@
 namespace fgqos::axi {
 
 /// Downstream request consumer (implemented by dram::Controller).
+///
+/// Space contract: can_accept() turns true only inside calls that then
+/// invoke ResponseSink::space_freed() on the crossbar, which sleeps
+/// through a refused line until then.
 class SlaveIf {
  public:
   virtual ~SlaveIf() = default;
@@ -42,11 +45,6 @@ class SlaveIf {
                                         sim::TimePs now) const = 0;
   /// Enqueues the line. Pre: can_accept() returned true this cycle.
   virtual void accept(LineRequest line, sim::TimePs now) = 0;
-  /// True when can_accept() turns true only inside calls that then invoke
-  /// ResponseSink::space_freed() on the crossbar, which may then sleep
-  /// through a refusal. Default false: a refused line is retried every
-  /// crossbar cycle.
-  [[nodiscard]] virtual bool signals_space() const { return false; }
 };
 
 /// At what granularity the crossbar switches between masters.
@@ -78,10 +76,7 @@ class Interconnect final : public sim::Clocked, public ResponseSink {
   MasterPort& add_master(MasterPortConfig cfg);
 
   /// Wires the downstream slave (exactly one; required before running).
-  void set_slave(SlaveIf& slave) {
-    slave_ = &slave;
-    slave_signals_ = slave.signals_space();
-  }
+  void set_slave(SlaveIf& slave) { slave_ = &slave; }
 
   /// Replaces the arbitration policy (default: round robin).
   void set_arbiter(std::unique_ptr<Arbiter> arb);
@@ -133,9 +128,8 @@ class Interconnect final : public sim::Clocked, public ResponseSink {
 
  private:
   /// Whether port \p p, in a pace gap ending at \p gap_end, counts as
-  /// refused rather than lowering \p retry: its line is one the
-  /// signalling slave refuses, attribution is off, and the gap ends before
-  /// \p retry.
+  /// refused rather than lowering \p retry: its line is one the slave
+  /// refuses, attribution is off, and the gap ends before \p retry.
   [[nodiscard]] bool refused_after_gap(const MasterPort& p, sim::TimePs now,
                                        sim::TimePs gap_end,
                                        sim::TimePs retry) const;
@@ -157,7 +151,6 @@ class Interconnect final : public sim::Clocked, public ResponseSink {
   sim::ObjectPool<Transaction> txn_pool_;
   std::uint32_t prof_tag_deliver_ = 0;  ///< host-profiler tag, axi.deliver
   SlaveIf* slave_ = nullptr;
-  bool slave_signals_ = false;  ///< slave_->signals_space()
   /// Asleep with a line the slave refused, grantable now or once its
   /// port's pace gap ends: space_freed() wakes.
   bool awaiting_space_ = false;

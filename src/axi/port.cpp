@@ -36,7 +36,6 @@ void TxnGate::closed() const {
 
 void MasterPort::add_gate(TxnGate& gate) {
   gates_.push_back(&gate);
-  gates_signal_ = gates_signal_ && gate.signals_reopen();
   gate.ports_.push_back(this);
 }
 
@@ -135,9 +134,6 @@ MasterPort::BlockReason MasterPort::grant_block_reason(
   const LineRequest line = peek_line(now);
   for (const auto* gate : gates_) {
     if (!gate->allow(line, now)) {
-      if (!gates_signal_) {
-        retry = now;
-      }
       return BlockReason::kGate;
     }
   }

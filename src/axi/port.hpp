@@ -30,15 +30,12 @@ class MasterPort;
 /// on_grant(), which is called in the same cycle as the grant (this is the
 /// "tightly-coupled" property).
 ///
-/// Reopen contract: a gate whose signals_reopen() is true promises that
-/// allow() turns true only inside calls that end with reopened(), which
-/// wakes every port the gate was attached to, and that allow() turns false
-/// only inside on_grant() or calls that end with reopened() or closed().
-/// The crossbar may then sleep through a port this gate blocks, and, with
-/// attribution on, through a port it admits but the slave refuses. A gate
-/// that keeps the default (false) is re-evaluated on every crossbar cycle
-/// while it blocks a port or, with attribution on, while its admitted port
-/// waits.
+/// Reopen contract: allow() turns true only inside calls that end with
+/// reopened(), which wakes every port the gate is attached to, and turns
+/// false only inside on_grant() or calls that end with reopened() or
+/// closed(). The crossbar sleeps through a port a gate blocks and, with
+/// attribution on, through a port it admits but the slave refuses; these
+/// signals are how it learns that either changed.
 class TxnGate {
  public:
   virtual ~TxnGate() = default;
@@ -47,8 +44,6 @@ class TxnGate {
                                    sim::TimePs now) const = 0;
   /// A line was granted at \p now; account for it.
   virtual void on_grant(const LineRequest& line, sim::TimePs now) = 0;
-  /// True when this gate keeps the reopen contract above.
-  [[nodiscard]] virtual bool signals_reopen() const { return false; }
 
  protected:
   /// Tells every gated port that allow() may have turned true.
@@ -157,8 +152,7 @@ class MasterPort {
   /// As above; a blocked port also lowers \p retry to the earliest time
   /// its block can lift without it notifying the crossbar: the head
   /// turning visible or the rate limiter freeing up. It leaves \p retry
-  /// alone when it will notify (empty queue: issue(); every gate signals
-  /// reopen) and lowers it to \p now when it must be polled every cycle.
+  /// alone when it will notify (empty queue: issue(); a gate: reopened()).
   [[nodiscard]] BlockReason grant_block_reason(sim::TimePs now,
                                                sim::TimePs& retry) const;
 
@@ -168,8 +162,6 @@ class MasterPort {
   /// Close signal of an attached gate: wakes the crossbar when attribution
   /// is on and a request is queued.
   void gate_closed();
-  /// True when every attached gate keeps the reopen contract.
-  [[nodiscard]] bool gates_signal() const { return gates_signal_; }
 
   /// The line that would be granted next. Pre: head visible.
   [[nodiscard]] LineRequest peek_line(sim::TimePs now) const;
@@ -208,7 +200,6 @@ class MasterPort {
   MasterPortConfig cfg_;
   TimedFifo<Transaction*> queue_;
   std::vector<TxnGate*> gates_;
-  bool gates_signal_ = true;  ///< every attached gate signals reopen
   std::vector<TxnObserver*> observers_;
   CompletionFn on_complete_;
   std::size_t out_reads_ = 0;

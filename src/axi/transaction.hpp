@@ -89,8 +89,8 @@ class ResponseSink {
   virtual ~ResponseSink() = default;
   /// Called exactly once per LineRequest, at data-burst completion time.
   virtual void line_done(const LineRequest& line, sim::TimePs now) = 0;
-  /// Called by a slave that keeps the SlaveIf::signals_space() contract
-  /// whenever a queue slot frees up.
+  /// Called by the slave whenever can_accept() may have turned true (see
+  /// SlaveIf).
   virtual void space_freed() {}
 };
 

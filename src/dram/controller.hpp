@@ -176,12 +176,11 @@ class Controller final : public sim::Clocked, public axi::SlaveIf {
     return refresh_divisor_;
   }
 
-  // SlaveIf
+  // SlaveIf: every freed queue slot is reported through
+  // ResponseSink::space_freed().
   [[nodiscard]] bool can_accept(const axi::LineRequest& line,
                                 sim::TimePs now) const override;
   void accept(axi::LineRequest line, sim::TimePs now) override;
-  /// Every freed queue slot is reported through ResponseSink::space_freed().
-  [[nodiscard]] bool signals_space() const override { return true; }
 
   // Clocked
   bool tick(sim::Cycles cycle) override;

@@ -8,24 +8,19 @@ CmriInjector::CmriInjector(PremArbiter& prem, CmriConfig cfg)
     : prem_(prem), cfg_(cfg) {
   prem_.add_slot_listener([this](axi::MasterId, sim::TimePs) {
     std::fill(spent_.begin(), spent_.end(), 0);
+    reopened();
   });
 }
 
-void CmriInjector::ensure(axi::MasterId m) const {
-  if (m >= spent_.size()) {
-    spent_.resize(m + 1, 0);
-  }
-}
-
 std::uint64_t CmriInjector::remaining(axi::MasterId m) const {
-  ensure(m);
-  const std::uint64_t s = spent_[m];
+  const std::uint64_t s = m < spent_.size() ? spent_[m] : 0;
   return s >= cfg_.injection_budget_bytes ? 0
                                           : cfg_.injection_budget_bytes - s;
 }
 
 void CmriInjector::set_injection_budget(std::uint64_t bytes) {
   cfg_.injection_budget_bytes = bytes;
+  reopened();
 }
 
 bool CmriInjector::allow(const axi::LineRequest& line, sim::TimePs) const {
@@ -43,7 +38,9 @@ void CmriInjector::on_grant(const axi::LineRequest& line, sim::TimePs) {
   if (prem_.owner() == kAllMasters || m == prem_.owner()) {
     return;
   }
-  ensure(m);
+  if (m >= spent_.size()) {
+    spent_.resize(m + 1, 0);
+  }
   spent_[m] += line.bytes;
   injected_ += line.bytes;
 }

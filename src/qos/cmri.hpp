@@ -9,6 +9,7 @@
 ///
 /// Use INSTEAD of attaching the PremArbiter gate directly: attach one
 /// CmriInjector (sharing the PremArbiter for slot state) to every port.
+/// A slot boundary or a budget write signals reopened().
 #pragma once
 
 #include <cstdint>
@@ -47,11 +48,9 @@ class CmriInjector final : public axi::TxnGate {
   void on_grant(const axi::LineRequest& line, sim::TimePs now) override;
 
  private:
-  void ensure(axi::MasterId m) const;
-
   PremArbiter& prem_;
   CmriConfig cfg_;
-  mutable std::vector<std::uint64_t> spent_;  ///< per master, this slot
+  std::vector<std::uint64_t> spent_;  ///< per master, this slot
   std::uint64_t injected_ = 0;
 };
 

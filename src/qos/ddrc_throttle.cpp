@@ -5,10 +5,11 @@
 namespace fgqos::qos {
 
 DdrcThrottle::DdrcThrottle(sim::Simulator& sim, DdrcThrottleConfig cfg,
-                           axi::SlaveIf& inner)
+                           axi::SlaveIf& inner, axi::ResponseSink& sink)
     : sim_(sim),
       cfg_(std::move(cfg)),
       inner_(&inner),
+      sink_(&sink),
       read_bucket_(budget_for_rate(cfg_.read_bps, cfg_.window_ps),
                    ReplenishKind::kFixedWindow),
       write_bucket_(budget_for_rate(cfg_.write_bps, cfg_.window_ps),
@@ -24,6 +25,7 @@ void DdrcThrottle::on_window() {
   read_bucket_.replenish();
   write_bucket_.replenish();
   sim_.schedule_recurring(window_event_, sim_.now() + cfg_.window_ps);
+  sink_->space_freed();
 }
 
 void DdrcThrottle::set_rates(double read_bps, double write_bps) {
@@ -31,6 +33,7 @@ void DdrcThrottle::set_rates(double read_bps, double write_bps) {
   cfg_.write_bps = write_bps;
   read_bucket_.set_budget(budget_for_rate(read_bps, cfg_.window_ps));
   write_bucket_.set_budget(budget_for_rate(write_bps, cfg_.window_ps));
+  sink_->space_freed();
 }
 
 bool DdrcThrottle::can_accept(const axi::LineRequest& line,

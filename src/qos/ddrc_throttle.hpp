@@ -33,12 +33,14 @@ struct DdrcThrottleConfig {
 };
 
 /// The decorator. Wire as:
-///   DdrcThrottle thr(sim, cfg, controller);
+///   DdrcThrottle thr(sim, cfg, controller, xbar);
 ///   xbar.set_slave(thr);
+/// A window refill or a rate write signals ResponseSink::space_freed() on
+/// \p sink (the crossbar); the inner slave signals its own freed space.
 class DdrcThrottle final : public axi::SlaveIf {
  public:
   DdrcThrottle(sim::Simulator& sim, DdrcThrottleConfig cfg,
-               axi::SlaveIf& inner);
+               axi::SlaveIf& inner, axi::ResponseSink& sink);
 
   [[nodiscard]] const DdrcThrottleConfig& config() const { return cfg_; }
 
@@ -57,6 +59,7 @@ class DdrcThrottle final : public axi::SlaveIf {
   DdrcThrottleConfig cfg_;
   sim::EventQueue::RecurringId window_event_ = 0;
   axi::SlaveIf* inner_;
+  axi::ResponseSink* sink_;
   TokenBucket read_bucket_;
   TokenBucket write_bucket_;
 };

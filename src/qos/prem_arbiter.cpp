@@ -26,6 +26,7 @@ void PremArbiter::on_slot_boundary() {
     fn(owner(), now);
   }
   sim_.schedule_recurring(slot_event_, now + cfg_.slot_ps);
+  reopened();  // the owner changed: allow() may turn either way
 }
 
 bool PremArbiter::allow(const axi::LineRequest& line, sim::TimePs) const {

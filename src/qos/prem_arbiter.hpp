@@ -7,7 +7,8 @@
 /// the cost of leaving the owner's unused bandwidth entirely on the floor
 /// — the inefficiency CMRI and the paper's HW QoS recover.
 ///
-/// Attach the same instance as a gate on every participating port.
+/// Attach the same instance as a gate on every participating port. Each
+/// slot boundary signals reopened().
 #pragma once
 
 #include <cstdint>

@@ -130,7 +130,9 @@ void Regulator::apply_replenish() {
     b.credit.replenish();
   }
   trace_tokens(now);
-  reopened();
+  if (cfg_.enabled) {
+    reopened();  // a disabled gate admits every line: nothing reopens
+  }
 }
 
 void Regulator::close_throttle(Bucket& b, sim::TimePs now) {

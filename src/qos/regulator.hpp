@@ -177,14 +177,13 @@ class Regulator final : public axi::TxnGate {
   using IrqFaultFn = std::function<sim::TimePs(sim::TimePs)>;
   void set_irq_fault(IrqFaultFn fn) { irq_fault_ = std::move(fn); }
 
-  // TxnGate
+  // TxnGate: allow() reads only enabled, limited and can_spend(); they can
+  // turn it true only in an enabled gate's replenish, set_enabled(),
+  // set_budget(), set_bank_budget() or a schedule restart, and each of
+  // those signals.
   [[nodiscard]] bool allow(const axi::LineRequest& line,
                            sim::TimePs now) const override;
   void on_grant(const axi::LineRequest& line, sim::TimePs now) override;
-  /// allow() reads only enabled, limited and can_spend(); they can turn
-  /// it true only in a replenish, set_enabled(), set_budget(),
-  /// set_bank_budget() or a schedule restart, and each of those signals.
-  [[nodiscard]] bool signals_reopen() const override { return true; }
 
  private:
   /// One token bucket and its throttle bookkeeping.

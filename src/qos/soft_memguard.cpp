@@ -71,6 +71,7 @@ void SoftMemguard::set_budget(axi::MasterId master, std::uint64_t budget_bytes) 
           prof_tag_);
     }
   }
+  reopened();
 }
 
 void SoftMemguard::set_rate(axi::MasterId master, double bytes_per_second) {
@@ -253,6 +254,7 @@ void SoftMemguard::deliver_stall(axi::MasterId m, std::uint64_t period,
     st.period_of_last_stall = period_index_;
     ++st.stats.periods_throttled;
   }
+  closed();
 }
 
 void SoftMemguard::on_period_tick() {
@@ -285,6 +287,7 @@ void SoftMemguard::on_period_tick() {
   }
   ++period_index_;
   sim_.schedule_recurring(period_event_, now + cfg_.period_ps);
+  reopened();
 }
 
 }  // namespace fgqos::qos

@@ -12,7 +12,8 @@
 ///  * at each period boundary all masters are released and counters reset.
 ///
 /// Attach to each regulated port with add_gate() only (gates observe their
-/// own grants through TxnGate::on_grant).
+/// own grants through TxnGate::on_grant). A period boundary or a budget
+/// write signals reopened(), a stall landing closed().
 #pragma once
 
 #include <cstdint>

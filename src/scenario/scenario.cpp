@@ -11,7 +11,8 @@ namespace fgqos::scenario {
 namespace {
 
 /// Denies every line: strict PREM mutual exclusion for a critical task
-/// that is memory-active for the whole run.
+/// that is memory-active for the whole run. It never reopens, so it never
+/// signals.
 class BlockAllGate final : public axi::TxnGate {
  public:
   [[nodiscard]] bool allow(const axi::LineRequest&,

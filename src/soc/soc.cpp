@@ -453,7 +453,7 @@ qos::DdrcThrottle& Soc::insert_ddrc_throttle(qos::DdrcThrottleConfig tc) {
                             ? static_cast<axi::SlaveIf&>(*channel_router_)
                             : static_cast<axi::SlaveIf&>(*drams_[0]);
   ddrc_throttle_ =
-      std::make_unique<qos::DdrcThrottle>(sim_, std::move(tc), inner);
+      std::make_unique<qos::DdrcThrottle>(sim_, std::move(tc), inner, *xbar_);
   xbar_->set_slave(*ddrc_throttle_);
   return *ddrc_throttle_;
 }

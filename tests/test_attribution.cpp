@@ -551,8 +551,8 @@ INSTANTIATE_TEST_SUITE_P(
       return p.param.name;
     });
 
-/// Slave with one slot that signals space: while it holds a line, every
-/// other admitted head waits on it with the crossbar asleep.
+/// Slave with one slot: while it holds a line, every other admitted head
+/// waits on it with the crossbar asleep.
 class OneSlotSlave final : public axi::SlaveIf {
  public:
   OneSlotSlave(sim::Simulator& sim, axi::ResponseSink& sink)
@@ -569,7 +569,6 @@ class OneSlotSlave final : public axi::SlaveIf {
       sink_.line_done(line, sim_.now());
     });
   }
-  [[nodiscard]] bool signals_space() const override { return true; }
 
  private:
   sim::Simulator& sim_;
@@ -577,21 +576,28 @@ class OneSlotSlave final : public axi::SlaveIf {
   bool busy_ = false;
 };
 
-/// Gate that never signals, shut by the test.
-struct SilentGate final : axi::TxnGate {
+/// Gate shut and reopened by the test, signalling each flip.
+struct ShutGate final : axi::TxnGate {
   bool shut = false;
   [[nodiscard]] bool allow(const axi::LineRequest&,
                            sim::TimePs) const override {
     return !shut;
   }
   void on_grant(const axi::LineRequest&, sim::TimePs) override {}
+  void set_shut(bool s) {
+    shut = s;
+    if (s) {
+      closed();
+    } else {
+      reopened();
+    }
+  }
 };
 
 // A head the gates admit but the slave refuses loses arbitration to the
-// line the slave holds. A port stall, or a gate that never signals
-// shutting, turns that blame to self without a grant or a wake signal;
-// the sleeping crossbar must see both on the very next edge, as a polling
-// one does.
+// line the slave holds. A port stall, or a gate shutting outside
+// on_grant(), turns that blame to self without a grant; the sleeping
+// crossbar must see both on the very next edge, as a polling one does.
 TEST(AttributionOracle, ContestedHeadTurnsSelfWithoutAGrant) {
   const auto run = [](bool poll, bool stall) {
     sim::Simulator sim;
@@ -601,7 +607,7 @@ TEST(AttributionOracle, ContestedHeadTurnsSelfWithoutAGrant) {
     axi::MasterPort& b = xbar.add_master(axi::MasterPortConfig{});
     OneSlotSlave slave(sim, xbar);
     xbar.set_slave(slave);
-    SilentGate gate;
+    ShutGate gate;
     if (!stall) {
       b.add_gate(gate);
     }
@@ -618,8 +624,8 @@ TEST(AttributionOracle, ContestedHeadTurnsSelfWithoutAGrant) {
     if (stall) {
       sim.schedule_at(25'000, [&b] { b.inject_stall(5'000); });
     } else {
-      sim.schedule_at(35'000, [&gate] { gate.shut = true; });
-      sim.schedule_at(45'000, [&gate] { gate.shut = false; });
+      sim.schedule_at(35'000, [&gate] { gate.set_shut(true); });
+      sim.schedule_at(45'000, [&gate] { gate.set_shut(false); });
     }
     sim.run_for(sim::kPsPerUs);
     eng.finish(sim.now());
