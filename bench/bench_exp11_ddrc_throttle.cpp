@@ -32,25 +32,17 @@ struct Row {
 };
 
 Row run_one(const char* label, bool ddrc, bool per_port) {
-  // Generators added manually below.
-  Scenario s = build_scenario(bench_spec(Scheme::kNone, 0, 40));
-  soc::Soc& chip = *s.chip;
-
-  // Victim on port 0: paced to its 1.5 GB/s entitlement.
-  wl::TrafficGenConfig victim;
+  // Three saturating aggressors (agg1..agg3) on ports 1..3; the victim,
+  // paced to its 1.5 GB/s entitlement, replaces agg0 on port 0.
+  scenario::Spec spec = bench_spec(Scheme::kNone, 0, 40);
+  spec.aggressors = scenario::standard_aggressors(4, wl::Pattern::kSeqRead, 10);
+  wl::TrafficGenConfig& victim = spec.aggressors[0];
+  victim = wl::TrafficGenConfig{};
   victim.name = "victim";
   victim.target_bps = 1.5e9;
   victim.seed = 1;
-  wl::TrafficGen& v = chip.add_traffic_gen(0, victim);
-  // Three saturating aggressors on ports 1..3.
-  std::vector<wl::TrafficGen*> aggs;
-  for (std::size_t i = 1; i < 4; ++i) {
-    wl::TrafficGenConfig tg;
-    tg.name = "agg" + std::to_string(i);
-    tg.base = 0x8000'0000 + (static_cast<axi::Addr>(i) << 26);
-    tg.seed = 10 + i;
-    aggs.push_back(&chip.add_traffic_gen(i, tg));
-  }
+  Scenario s = build_scenario(spec);
+  soc::Soc& chip = *s.chip;
 
   const double total_allow = 1.5e9 + 3 * 0.8e9;
   if (ddrc) {
@@ -71,12 +63,13 @@ Row run_one(const char* label, bool ddrc, bool per_port) {
   Row r;
   r.config = label;
   r.victim_gbps = sim::bytes_per_second(
-                      v.port().stats().bytes_granted.value(), chip.now()) /
+                      chip.accel_port(0).stats().bytes_granted.value(),
+                      chip.now()) /
                   1e9;
   double agg_total = 0;
-  for (auto* g : aggs) {
+  for (std::size_t i = 1; i < 4; ++i) {
     agg_total += sim::bytes_per_second(
-        g->port().stats().bytes_granted.value(), chip.now());
+        chip.accel_port(i).stats().bytes_granted.value(), chip.now());
   }
   r.aggressor_gbps = agg_total / 1e9;
   r.cpu_p99_us =

@@ -16,8 +16,6 @@
 #include <cstdio>
 
 #include "common.hpp"
-#include "qos/adaptive_controller.hpp"
-#include "qos/latency_monitor.hpp"
 
 using namespace fgqos;
 using namespace fgqos::bench;
@@ -75,84 +73,57 @@ struct Row {
 enum class Policy { kStaticTight, kStaticLoose, kAdaptive };
 
 Row run(Policy policy) {
-  soc::SocConfig cfg;
-  soc::Soc chip(cfg);
-
+  scenario::Spec spec;
   // Critical: alternating heavy/light phases.
-  wl::PointerChaseConfig heavy;
-  heavy.accesses_per_iteration = 2048;
-  wl::ComputeBoundConfig light;
-  light.accesses_per_iteration = 2048;
-  light.compute_cycles_per_access = 48;
   cpu::CoreConfig cc;
   cc.name = "critical";
-  chip.add_core(cc, std::make_unique<AlternatingKernel>(
-                        wl::make_pointer_chase(heavy),
-                        wl::make_compute_bound(light), 8));
-
-  qos::LatencyMonitorConfig lc;
-  lc.window_ps = 100 * sim::kPsPerUs;
-  qos::LatencyMonitor mon(chip.sim(), lc);
-  chip.cpu_port().add_observer(mon);
-
-  std::vector<qos::Regulator*> regs;
-  for (std::size_t i = 0; i < 3; ++i) {
-    wl::TrafficGenConfig tg;
-    tg.name = "agg" + std::to_string(i);
-    tg.base = 0x8000'0000 + (static_cast<axi::Addr>(i) << 26);
-    tg.seed = 60 + i;
-    chip.add_traffic_gen(i, tg);
-    regs.push_back(chip.qos_block(1 + i).regulator.get());
-  }
-
-  std::unique_ptr<qos::AdaptiveQosController> ctrl;
+  spec.critical = scenario::Critical{cc, [] {
+    wl::PointerChaseConfig heavy;
+    heavy.accesses_per_iteration = 2048;
+    wl::ComputeBoundConfig light;
+    light.accesses_per_iteration = 2048;
+    light.compute_cycles_per_access = 48;
+    return std::make_unique<AlternatingKernel>(
+        wl::make_pointer_chase(heavy), wl::make_compute_bound(light), 8);
+  }};
+  spec.aggressors = scenario::standard_aggressors(3, wl::Pattern::kSeqRead, 60);
+  spec.regulated_ports = scenario::first_ports(3);
   Row r;
   switch (policy) {
     case Policy::kStaticTight:
       r.policy = "static_tight";
       r.note = "400 MB/s/master";
-      for (auto* reg : regs) {
-        reg->set_rate(400e6);
-        reg->set_enabled(true);
-      }
+      spec.scheme = Scheme::kHw;
+      spec.budget_bps = 400e6;
       break;
     case Policy::kStaticLoose:
       r.policy = "static_loose";
       r.note = "1.6 GB/s/master";
-      for (auto* reg : regs) {
-        reg->set_rate(1.6e9);
-        reg->set_enabled(true);
-      }
+      spec.scheme = Scheme::kHw;
+      spec.budget_bps = 1.6e9;
       break;
-    case Policy::kAdaptive: {
+    case Policy::kAdaptive:
       r.policy = "adaptive";
-      qos::AdaptiveControllerConfig ac;
-      ac.latency_target_ps = 650 * sim::kPsPerNs;
-      ac.period_ps = lc.window_ps;
-      ac.increase_bps = 300e6;
-      ctrl = std::make_unique<qos::AdaptiveQosController>(chip.sim(), ac,
-                                                          mon, regs);
-      ctrl->start();
+      spec.scheme = Scheme::kAdaptive;
+      spec.adaptive.latency_target_ps = 650 * sim::kPsPerNs;
+      spec.adaptive.period_ps = 100 * sim::kPsPerUs;
+      spec.adaptive.increase_bps = 300e6;
       break;
-    }
   }
+  Scenario s = build_scenario(spec);
+  run_for(s, 80 * sim::kPsPerMs);
 
-  chip.run_for(80 * sim::kPsPerMs);
-  const auto& lat = chip.cpu_port().stats().read_latency;
+  const auto& lat = s.chip->cpu_port().stats().read_latency;
   r.p99_ns = static_cast<double>(lat.p99()) / 1e3;
   r.p999_ns = static_cast<double>(lat.p999()) / 1e3;
-  double be = 0;
-  for (std::size_t i = 0; i < 3; ++i) {
-    be += sim::bytes_per_second(
-        chip.accel_port(i).stats().bytes_granted.value(), chip.now());
-  }
-  r.be_gbps = be / 1e9;
-  if (ctrl) {
+  r.be_gbps = s.aggressor_bps() / 1e9;
+  if (s.adaptive) {
+    const qos::AdaptiveControllerStats& st = s.adaptive->stats();
     char buf[96];
     std::snprintf(buf, sizeof buf, "%llu dec / %llu inc, final %s",
-                  static_cast<unsigned long long>(ctrl->stats().decreases),
-                  static_cast<unsigned long long>(ctrl->stats().increases),
-                  util::format_bandwidth(ctrl->stats().current_bps).c_str());
+                  static_cast<unsigned long long>(st.decreases),
+                  static_cast<unsigned long long>(st.increases),
+                  util::format_bandwidth(st.current_bps).c_str());
     r.note = buf;
   }
   return r;

@@ -22,7 +22,7 @@ double measure(Scheme scheme, double target_bps) {
   scenario::Spec p = bench_spec(scheme, 1, 0);
   p.budget_bps = target_bps;
   Scenario s = build_scenario(p);
-  s.chip->run_for(20 * sim::kPsPerMs);
+  run_for(s, 20 * sim::kPsPerMs);
   return sim::bytes_per_second(
       s.chip->accel_port(0).stats().bytes_granted.value(), s.chip->now());
 }

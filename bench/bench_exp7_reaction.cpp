@@ -34,7 +34,7 @@ SwResult run_sw(sim::TimePs period, sim::TimePs isr, double budget_bps) {
   p.memguard.isr_latency_ps = isr;
   Scenario s = build_scenario(p);
   const sim::TimePs horizon = 50 * sim::kPsPerMs;
-  s.chip->run_for(horizon);
+  run_for(s, horizon);
   const auto& st = s.memguard->master_stats(s.chip->accel_port(0).id());
   const double periods =
       static_cast<double>(horizon) / static_cast<double>(period);
@@ -68,7 +68,7 @@ int main() {
     qos::BandwidthMonitor& mon = *s.chip->qos_block(1).monitor;
     mon.set_window(w);
     const sim::TimePs horizon = 50 * sim::kPsPerMs;
-    s.chip->run_for(horizon);
+    run_for(s, horizon);
     const double measured = sim::bytes_per_second(
         s.chip->accel_port(0).stats().bytes_granted.value(), horizon);
     const std::uint64_t budget_per_window = qos::budget_for_rate(budget, w);

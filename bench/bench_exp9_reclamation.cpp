@@ -29,27 +29,19 @@ struct Result {
 };
 
 Result run(bool regulated, bool reclaim) {
-  soc::SocConfig cfg;
-  soc::Soc chip(cfg);
-
-  // Camera: phased reserved master on port 0.
-  wl::TrafficGenConfig cam;
+  // Three hungry best-effort DMAs (agg1..agg3) on ports 1..3; the
+  // camera, a phased reserved master, replaces agg0 on port 0.
+  scenario::Spec spec;
+  spec.aggressors = scenario::standard_aggressors(4, wl::Pattern::kSeqRead, 10);
+  wl::TrafficGenConfig& cam = spec.aggressors[0];
+  cam = wl::TrafficGenConfig{};
   cam.name = "camera";
   cam.target_bps = 2e9;
   cam.active_ps = 2 * sim::kPsPerMs;
   cam.idle_ps = 2 * sim::kPsPerMs;
   cam.seed = 1;
-  chip.add_traffic_gen(0, cam);
-
-  // Three hungry best-effort DMAs on ports 1..3.
-  std::vector<wl::TrafficGen*> be;
-  for (std::size_t i = 1; i < 4; ++i) {
-    wl::TrafficGenConfig tg;
-    tg.name = "be" + std::to_string(i);
-    tg.base = 0x8000'0000 + (static_cast<axi::Addr>(i) << 26);
-    tg.seed = 10 + i;
-    be.push_back(&chip.add_traffic_gen(i, tg));
-  }
+  Scenario s = build_scenario(spec);
+  soc::Soc& chip = *s.chip;
 
   qos::QosManagerConfig mc;
   mc.capacity_bps = 11e9;  // measured platform peak under mixed traffic
@@ -71,7 +63,7 @@ Result run(bool regulated, bool reclaim) {
   }
 
   const sim::TimePs horizon = 40 * sim::kPsPerMs;
-  chip.run_for(horizon);
+  run_for(s, horizon);
 
   Result r;
   // Camera active half the time: effective active-phase rate = 2x mean.
@@ -79,9 +71,9 @@ Result run(bool regulated, bool reclaim) {
       2.0 * sim::bytes_per_second(
                 chip.accel_port(0).stats().bytes_granted.value(), horizon);
   double total = 0;
-  for (auto* g : be) {
-    total += sim::bytes_per_second(g->port().stats().bytes_granted.value(),
-                                   horizon);
+  for (std::size_t i = 1; i < 4; ++i) {
+    total += sim::bytes_per_second(
+        chip.accel_port(i).stats().bytes_granted.value(), horizon);
   }
   r.best_effort_gbps = total / 1e9;
   r.bus_util = chip.dram().bus_utilization(horizon);

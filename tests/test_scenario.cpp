@@ -26,6 +26,7 @@
 #include "util/cli.hpp"
 #include "util/config_error.hpp"
 #include "workload/cpu_workloads.hpp"
+#include "workload/serving.hpp"
 
 namespace fgqos {
 namespace {
@@ -212,6 +213,57 @@ TEST(Scenario, SlaWithoutBlameWindowIsRejected) {
   expect_config_error(
       [&] { (void)scenario::build(two_aggressors(Scheme::kNone), obs, 1); },
       "blame window");
+}
+
+/// One serving tenant "lc" on HP port 3 for 1 ms.
+wl::ServingSpec tenant_on_port3() {
+  return wl::ServingSpec::from_json(
+      R"({"duration_us": 1000, "tenants": [{"name": "lc", "port": 3}]})");
+}
+
+TEST(Scenario, AggressorsSkipServingPorts) {
+  const wl::ServingSpec serving = tenant_on_port3();
+  scenario::Spec spec;
+  spec.serving = &serving;
+  spec.aggressors =
+      scenario::standard_aggressors(6, wl::Pattern::kSeqRead, 100);
+  scenario::Scenario s = scenario::build(spec, {}, 1);
+  ASSERT_EQ(s.aggressors.size(), 6u);
+  for (std::size_t i = 0; i < 6; ++i) {
+    EXPECT_EQ(&s.aggressors[i]->port(), &s.chip->accel_port(i % 3)) << i;
+  }
+}
+
+TEST(Scenario, AdaptiveDefenseWatchesTheProtectedPort) {
+  const wl::ServingSpec serving = tenant_on_port3();
+  scenario::Spec spec;
+  spec.serving = &serving;
+  spec.aggressors =
+      scenario::standard_aggressors(3, wl::Pattern::kSeqRead, 100);
+  spec.scheme = Scheme::kAdaptive;
+  spec.regulated_ports = scenario::first_ports(3);
+  spec.adaptive.period_ps = 50 * sim::kPsPerUs;
+  scenario::Observers obs;
+  obs.journal = Journal::kRun;
+  scenario::Scenario s = scenario::build(spec, obs, 1);
+  ASSERT_NE(s.monitor, nullptr);
+  ASSERT_NE(s.adaptive, nullptr);
+  s.chip->run_for(400 * sim::kPsPerUs);
+  s.finish();
+  // No critical core: the monitor sees exactly the tenant's reads.
+  const std::uint64_t tenant_reads =
+      s.chip->accel_port(3).stats().read_latency.count();
+  EXPECT_GT(tenant_reads, 0u);
+  EXPECT_EQ(s.monitor->histogram().count(), tenant_reads);
+  EXPECT_GT(s.adaptive->stats().periods, 0u);
+  const telemetry::DecisionJournal& j = *s.chip->journal();
+  EXPECT_TRUE(journal_has(j, "increase") || journal_has(j, "decrease"));
+}
+
+TEST(Scenario, AdaptiveWithoutProtectedPortIsRejected) {
+  expect_config_error(
+      [] { (void)scenario::build(two_aggressors(Scheme::kAdaptive), {}, 1); },
+      "protected port");
 }
 
 // --------------------------------------------------------------------------

@@ -70,8 +70,10 @@ void usage() {
       "  --blame             interference-attribution blame matrices\n"
       "                      (blame.csv, blame.json)\n"
       "  --blame-window-us W blame accounting window (default 100)\n"
-      "  --sla-min-mbps B    SLA watchdog: min CPU-port bandwidth per window\n"
-      "  --sla-p99-us L      SLA watchdog: max CPU read p99 per window\n"
+      "  --sla-min-mbps B    SLA watchdog on the protected port (the CPU\n"
+      "                      port, else the first serving tenant's): min\n"
+      "                      bandwidth per window\n"
+      "  --sla-p99-us L      SLA watchdog: max protected-port read p99\n"
       "  --sla-stall-frac F  SLA watchdog: max interference fraction [0,1]\n"
       "  --fault-spec FILE   JSON fault plan to inject (see docs/FAULTS.md)\n"
       "  --envelope-spec FILE\n"

@@ -108,17 +108,7 @@ Outcome run_point(const Point& point, std::uint64_t seed,
     if (chip.now() < spec.serving->duration_ps) {
       chip.run_until(spec.serving->duration_ps);
     }
-    const sim::TimePs drain_deadline = chip.now() + 10 * sim::kPsPerMs;
-    while (chip.now() < drain_deadline) {
-      bool all_drained = true;
-      for (std::size_t i = 0; i < chip.serving_tenant_count(); ++i) {
-        all_drained = all_drained && chip.serving_tenant(i).drained();
-      }
-      if (all_drained) {
-        break;
-      }
-      chip.run_for(100 * sim::kPsPerUs);
-    }
+    chip.run_until_serving_drained(chip.now() + 10 * sim::kPsPerMs);
   }
   s.finish();
   if (!point.dir.empty()) {
