@@ -8,7 +8,6 @@
 /// one worker or eight.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 
@@ -18,31 +17,8 @@ namespace fgqos::exec {
 struct JobContext {
   /// Submission index (0-based). Results are merged in this order.
   std::size_t index = 0;
-  /// derive_seed(base_seed, index, attempt): the only RNG seed a job may
-  /// use.
+  /// derive_seed(base_seed, index): the only RNG seed a job may use.
   std::uint64_t seed = 0;
-  /// Worker ordinal that happened to run the job. Informational only —
-  /// deriving anything result-visible from it breaks the determinism
-  /// contract.
-  std::size_t worker = 0;
-  /// Retry ordinal: 0 for the first attempt, +1 per retry. Part of the
-  /// seed derivation, so a retried job replays a fresh but reproducible
-  /// stream instead of the one that just failed.
-  std::uint32_t attempt = 0;
-  /// Set by ScenarioRunner::request_stop(); long-running cooperative jobs
-  /// should poll cancel_requested() and return early.
-  const std::atomic<bool>* cancelled = nullptr;
-  /// Set when this specific attempt exceeded its wall-clock timeout and
-  /// was abandoned by its supervising worker. Folded into
-  /// cancel_requested(), so polling jobs need no extra code.
-  const std::atomic<bool>* attempt_cancelled = nullptr;
-
-  [[nodiscard]] bool cancel_requested() const {
-    return (cancelled != nullptr &&
-            cancelled->load(std::memory_order_relaxed)) ||
-           (attempt_cancelled != nullptr &&
-            attempt_cancelled->load(std::memory_order_relaxed));
-  }
 };
 
 /// SplitMix64 finalizer — the same avalanche step sim::Xoshiro256 uses to
@@ -62,19 +38,6 @@ struct JobContext {
                                                   std::size_t index) {
   return splitmix64(splitmix64(base) ^
                     (0x9e3779b97f4a7c15ull * (static_cast<std::uint64_t>(index) + 1)));
-}
-
-/// Retry-aware overload: attempt 0 is exactly derive_seed(base, index)
-/// (the historical stream), and each retry re-bases the lineage so the
-/// replay is fresh yet a pure function of (base, index, attempt).
-[[nodiscard]] constexpr std::uint64_t derive_seed(std::uint64_t base,
-                                                  std::size_t index,
-                                                  std::uint32_t attempt) {
-  return attempt == 0
-             ? derive_seed(base, index)
-             : derive_seed(splitmix64(base ^ (0xbf58476d1ce4e5b9ull *
-                                              attempt)),
-                           index);
 }
 
 }  // namespace fgqos::exec

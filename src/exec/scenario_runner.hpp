@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -39,60 +38,37 @@ struct ExecConfig {
   std::size_t jobs = 1;
   /// Base seed from which every job's seed is derived (derive_seed).
   std::uint64_t base_seed = 1;
-  /// Per-attempt wall-clock timeout in seconds; 0 disables. Each timed
-  /// attempt runs on its own thread so a hung simulation cannot wedge the
-  /// batch; on timeout the attempt's private cancel flag is raised
-  /// (visible through JobContext::cancel_requested()) and the thread is
-  /// abandoned. run_report() waits one extra timeout span for abandoned
-  /// attempts to exit before returning, so a job that polls
-  /// cancel_requested() never touches caller state after the report is
-  /// handed back; a job that ignores cancellation leaks its thread, and
-  /// any caller references captured in its closure are then the caller's
-  /// responsibility to keep alive.
-  double job_timeout_s = 0;
-  /// Extra attempts after a failed or timed-out first attempt. Each retry
-  /// gets a fresh deterministic seed (derive_seed with the attempt
-  /// ordinal). After a timeout, the retry only launches once the
-  /// abandoned attempt has acknowledged cancellation (exited) within one
-  /// extra timeout span — two attempts of one job never run concurrently;
-  /// if it keeps running, the job ends kTimedOut and the remaining
-  /// retries are forfeited.
-  std::uint32_t max_retries = 0;
 };
 
 /// Terminal state of one submitted job.
 enum class JobStatus : std::uint8_t {
   kOk = 0,
-  kFailed,    ///< last attempt threw
-  kTimedOut,  ///< last attempt exceeded job_timeout_s
-  kSkipped,   ///< never claimed (stop requested before it started)
+  kFailed,   ///< the job threw
+  kSkipped,  ///< never claimed (stop requested before it started)
 };
 
-[[nodiscard]] const char* job_status_name(JobStatus s);
-
-/// Outcome of one submitted job across all its attempts.
+/// Outcome of one submitted job. Every job runs once: a job fails on a
+/// deterministic error, so running it again could not rescue it.
 struct JobOutcome {
   JobStatus status = JobStatus::kSkipped;
-  /// Attempts actually made (0 for skipped jobs).
-  std::uint32_t attempts = 0;
-  /// what() of the last failure ("timed out after Ns" for timeouts).
+  /// what() of the failure.
   std::string error;
-  /// The last failure in throwable form (null for kOk/kTimedOut/kSkipped).
+  /// The failure in throwable form (null for kOk/kSkipped).
   std::exception_ptr exception;
 };
 
 /// Everything run_report() learned about a batch: one outcome per
 /// submission index, always fully populated — partial results survive
-/// failures, timeouts and interrupts.
+/// failures and interrupts.
 struct RunReport {
   std::vector<JobOutcome> jobs;
 
   [[nodiscard]] bool all_ok() const;
-  /// Submission indices that terminally failed or timed out (skipped jobs
-  /// are listed by describe() but are not failures).
+  /// Submission indices that failed (skipped jobs are listed by
+  /// describe() but are not failures).
   [[nodiscard]] std::vector<std::size_t> failed_indices() const;
   /// One-line human summary naming every non-ok index, e.g.
-  /// "8 jobs: 5 ok, 2 failed (2, 6), 1 timed out (4)".
+  /// "8 jobs: 5 ok, 2 failed (2, 6), 1 skipped (7)".
   [[nodiscard]] std::string describe() const;
 };
 
@@ -102,7 +78,7 @@ struct RunReport {
 
 /// Reads the FGQOS_JOBS environment variable (same semantics as --jobs:
 /// 0 = hardware concurrency); returns \p fallback when unset or empty.
-/// Malformed values throw ConfigError.
+/// Anything but a non-negative integer throws ConfigError.
 [[nodiscard]] std::size_t jobs_from_env(std::size_t fallback = 1);
 
 /// The engine.
@@ -121,28 +97,28 @@ class ScenarioRunner {
   [[nodiscard]] std::size_t worker_count() const { return workers_; }
   [[nodiscard]] std::uint64_t base_seed() const { return cfg_.base_seed; }
 
-  /// Runs every job in \p batch, blocking until all complete (or time
-  /// out / are skipped after request_stop()). Jobs are claimed in
-  /// submission order; with workers > 1 they run concurrently. Failed
-  /// attempts are retried up to cfg.max_retries times with fresh
-  /// deterministic seeds. Never throws for job failures — the returned
-  /// report carries every outcome, so partial results remain usable.
+  /// Runs every job in \p batch once, blocking until all complete (or
+  /// are skipped after request_stop()). Jobs are claimed in submission
+  /// order; with workers > 1 they run concurrently on pool threads that
+  /// are joined before this returns. Never throws for job failures — the
+  /// returned report carries every outcome, so partial results remain
+  /// usable.
   RunReport run_report(std::vector<JobFn> batch);
 
-  /// Legacy strict wrapper over run_report(): if any job did not finish
-  /// kOk, rethrows the stored exception of the lowest non-ok submission
-  /// index (or throws ConfigError naming the index for timeouts/skips).
+  /// Strict wrapper over run_report(): if any job did not finish kOk,
+  /// rethrows the stored exception of the lowest non-ok submission index
+  /// (or throws ConfigError naming the index of a skipped job).
   void run(std::vector<JobFn> batch);
 
-  /// Asks the runner to wind down: running jobs see
-  /// JobContext::cancel_requested(), unclaimed jobs are skipped. Safe to
-  /// call from a signal handler (a single atomic store) and from any
-  /// thread; sticky across run_report() calls until reset_stop().
-  void request_stop() { stop_->store(true, std::memory_order_relaxed); }
+  /// Asks the runner to wind down: running jobs finish, unclaimed jobs are
+  /// skipped. Safe to call from a signal handler (a single lock-free
+  /// atomic store) and from any thread; sticky across run_report() calls
+  /// until reset_stop().
+  void request_stop() { stop_.store(true, std::memory_order_relaxed); }
   [[nodiscard]] bool stop_requested() const {
-    return stop_->load(std::memory_order_relaxed);
+    return stop_.load(std::memory_order_relaxed);
   }
-  void reset_stop() { stop_->store(false, std::memory_order_relaxed); }
+  void reset_stop() { stop_.store(false, std::memory_order_relaxed); }
 
   /// Typed fan-out: invokes fn(ctx) for n jobs and returns the results
   /// in submission order. R must be default-constructible.
@@ -176,20 +152,22 @@ class ScenarioRunner {
   [[nodiscard]] std::string summary() const;
 
  private:
+  /// Busy time over the thread time the batches started (sum of batch
+  /// wall x threads started); the one value behind both
+  /// exec.worker_utilization and summary().
+  [[nodiscard]] double utilization() const;
+
   ExecConfig cfg_;
   std::size_t workers_ = 1;
   telemetry::MetricsRegistry metrics_;
   std::uint64_t jobs_done_ = 0;
   double wall_s_ = 0;
   double busy_s_ = 0;
-  /// Failed/timed-out indices accumulated across run_report() calls (for
+  double thread_s_ = 0;
+  /// Failed indices accumulated across run_report() calls (for
   /// summary()); guarded by the metrics mutex while a batch runs.
   std::vector<std::size_t> failed_indices_;
-  /// Runner-wide stop flag. Every timed attempt thread holds its own
-  /// shared_ptr copy (via its AttemptState), so a hung, abandoned attempt
-  /// can never dangle into a destroyed runner.
-  std::shared_ptr<std::atomic<bool>> stop_ =
-      std::make_shared<std::atomic<bool>>(false);
+  std::atomic<bool> stop_{false};
 };
 
 }  // namespace fgqos::exec

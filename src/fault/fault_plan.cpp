@@ -1,9 +1,6 @@
 #include "fault/fault_plan.hpp"
 
 #include <cmath>
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 
 #include "util/config_error.hpp"
 #include "util/json.hpp"
@@ -19,45 +16,12 @@ constexpr const char* kKindNames[kFaultKindCount] = {
     "refresh_storm",
 };
 
-/// Converts a JSON microsecond value into picoseconds.
-sim::TimePs us_to_ps(double us, const std::string& key) {
-  config_check(std::isfinite(us) && us >= 0,
-               "FaultPlan: '" + key + "' must be a finite value >= 0");
-  config_check(us < 1e12, "FaultPlan: '" + key + "' is implausibly large");
-  return static_cast<sim::TimePs>(
-      std::llround(us * static_cast<double>(sim::kPsPerUs)));
-}
-
-std::uint64_t as_u64(const util::JsonValue& v, const std::string& key) {
-  // Plain integer literals keep their exact 64-bit value (the double path
-  // below rounds above 2^53, which would corrupt round-tripped seeds).
-  if (v.is_uint64()) {
-    return v.as_uint64();
-  }
-  const double d = v.as_number();
-  config_check(std::isfinite(d) && d >= 0 && d <= 1.8e19 &&
-                   d == std::floor(d),
-               "FaultPlan: '" + key + "' must be a non-negative integer");
-  return static_cast<std::uint64_t>(d);
-}
-
-void append_number(std::string& out, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out += buf;
-}
-
-/// Integer path for uint64 fields: %.17g would route them through double
-/// and silently corrupt values above 2^53, breaking the round-trip
-/// guarantee (from_json accepts integers up to 1.8e19).
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%llu",
-                static_cast<unsigned long long>(v));
-  out += buf;
-}
+constexpr const char* kSpec = "FaultPlan";
 
 }  // namespace
+
+using util::append_number;
+using util::append_u64;
 
 const char* fault_kind_name(FaultKind k) {
   const auto i = static_cast<std::size_t>(k);
@@ -83,7 +47,7 @@ FaultPlan FaultPlan::from_json(const std::string& text) {
   }
   FaultPlan plan;
   if (doc.contains("seed")) {
-    plan.seed = as_u64(doc.at("seed"), "seed");
+    plan.seed = util::get_u64(doc, kSpec, "seed");
   }
   if (!doc.contains("faults")) {
     return plan;
@@ -116,27 +80,27 @@ FaultPlan FaultPlan::from_json(const std::string& text) {
                    "FaultPlan: 'prob' must be in [0, 1]");
     }
     if (f.contains("start_us")) {
-      s.start_ps = us_to_ps(f.at("start_us").as_number(), "start_us");
+      s.start_ps = util::get_us_as_ps(f, kSpec, "start_us");
     }
     if (f.contains("end_us")) {
-      s.end_ps = us_to_ps(f.at("end_us").as_number(), "end_us");
+      s.end_ps = util::get_us_as_ps(f, kSpec, "end_us");
       config_check(s.end_ps > s.start_ps,
                    "FaultPlan: 'end_us' must be after 'start_us'");
     }
     if (f.contains("delay_us")) {
-      s.delay_ps = us_to_ps(f.at("delay_us").as_number(), "delay_us");
+      s.delay_ps = util::get_us_as_ps(f, kSpec, "delay_us");
     }
     if (f.contains("period_us")) {
-      s.period_ps = us_to_ps(f.at("period_us").as_number(), "period_us");
+      s.period_ps = util::get_us_as_ps(f, kSpec, "period_us");
     }
     if (f.contains("duration_us")) {
-      s.duration_ps = us_to_ps(f.at("duration_us").as_number(), "duration_us");
+      s.duration_ps = util::get_us_as_ps(f, kSpec, "duration_us");
     }
     if (f.contains("cap_bytes")) {
-      s.cap_bytes = as_u64(f.at("cap_bytes"), "cap_bytes");
+      s.cap_bytes = util::get_u64(f, kSpec, "cap_bytes");
     }
     if (f.contains("factor")) {
-      const std::uint64_t factor = as_u64(f.at("factor"), "factor");
+      const std::uint64_t factor = util::get_u64(f, kSpec, "factor");
       config_check(factor >= 1 && factor <= 1024,
                    "FaultPlan: 'factor' must be in [1, 1024]");
       s.factor = static_cast<std::uint32_t>(factor);
@@ -166,12 +130,8 @@ FaultPlan FaultPlan::from_json(const std::string& text) {
 }
 
 FaultPlan FaultPlan::from_file(const std::string& path) {
-  std::ifstream in(path);
-  config_check(static_cast<bool>(in),
-               "FaultPlan: cannot open '" + path + "'");
-  std::ostringstream text;
-  text << in.rdbuf();
-  return from_json(text.str());
+  return from_json(
+      util::read_file(path, "FaultPlan: cannot open '" + path + "'"));
 }
 
 std::string FaultPlan::to_json() const {

@@ -1,9 +1,6 @@
 #include "qos/bank_budget_spec.hpp"
 
 #include <cmath>
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 
 #include "util/config_error.hpp"
 #include "util/json.hpp"
@@ -12,15 +9,6 @@ namespace fgqos::qos {
 
 namespace {
 
-sim::TimePs us_to_ps(double us, const std::string& key) {
-  config_check(std::isfinite(us) && us > 0,
-               "BankBudgetSpec: '" + key + "' must be a finite value > 0");
-  config_check(us < 1e12,
-               "BankBudgetSpec: '" + key + "' is implausibly large");
-  return static_cast<sim::TimePs>(
-      std::llround(us * static_cast<double>(sim::kPsPerUs)));
-}
-
 double as_mbps(const util::JsonValue& v, const std::string& key) {
   const double d = v.as_number();
   config_check(std::isfinite(d) && d >= 0,
@@ -28,13 +16,9 @@ double as_mbps(const util::JsonValue& v, const std::string& key) {
   return d;
 }
 
-void append_number(std::string& out, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out += buf;
-}
-
 }  // namespace
+
+using util::append_number;
 
 BankBudgetSpec BankBudgetSpec::from_json(const std::string& text) {
   const util::JsonValue doc = util::JsonValue::parse(text);
@@ -47,7 +31,8 @@ BankBudgetSpec BankBudgetSpec::from_json(const std::string& text) {
   }
   BankBudgetSpec spec;
   if (doc.contains("window_us")) {
-    spec.window_ps = us_to_ps(doc.at("window_us").as_number(), "window_us");
+    spec.window_ps = util::get_us_as_ps(doc, "BankBudgetSpec", "window_us",
+                                        /*allow_zero=*/false);
   }
   if (doc.contains("kind")) {
     const std::string& k = doc.at("kind").as_string();
@@ -118,11 +103,8 @@ BankBudgetSpec BankBudgetSpec::from_json(const std::string& text) {
 }
 
 BankBudgetSpec BankBudgetSpec::load(const std::string& path) {
-  std::ifstream is(path);
-  config_check(is.good(), "BankBudgetSpec: cannot read " + path);
-  std::ostringstream ss;
-  ss << is.rdbuf();
-  return from_json(ss.str());
+  return from_json(
+      util::read_file(path, "BankBudgetSpec: cannot read " + path));
 }
 
 std::string BankBudgetSpec::to_json() const {

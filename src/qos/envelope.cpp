@@ -220,11 +220,8 @@ CertifiedEnvelope CertifiedEnvelope::from_json(const util::JsonValue& v) {
 }
 
 CertifiedEnvelope CertifiedEnvelope::from_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw ConfigError("envelope: cannot open " + path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return from_json(util::JsonValue::parse(ss.str()));
+  return from_json(util::JsonValue::parse(
+      util::read_file(path, "envelope: cannot open " + path)));
 }
 
 void CertifiedEnvelope::save(const std::string& path) const {

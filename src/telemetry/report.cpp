@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <fstream>
 #include <sstream>
 
 #include "util/config_error.hpp"
@@ -23,11 +22,7 @@ void write_number(std::ostream& os, double v) {
 }
 
 std::string read_file(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  config_check(is.good(), "report: cannot read '" + path + "'");
-  std::ostringstream ss;
-  ss << is.rdbuf();
-  return ss.str();
+  return util::read_file(path, "report: cannot read '" + path + "'");
 }
 
 double number_or(const util::JsonValue& obj, const std::string& key,

@@ -1,9 +1,13 @@
 #include "util/json.hpp"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 
+#include "sim/time.hpp"
 #include "util/config_error.hpp"
 
 namespace fgqos::util {
@@ -365,6 +369,57 @@ std::string json_escape(const std::string& s) {
     }
   }
   return out;
+}
+
+std::uint64_t get_us_as_ps(const JsonValue& obj, const char* spec,
+                           const std::string& key, bool allow_zero) {
+  const double us = obj.at(key).as_number();
+  const std::string where = std::string(spec) + ": '" + key + "'";
+  if (allow_zero) {
+    config_check(std::isfinite(us) && us >= 0,
+                 where + " must be a finite value >= 0");
+  } else {
+    config_check(std::isfinite(us) && us > 0,
+                 where + " must be a finite value > 0");
+  }
+  config_check(us < 1e12, where + " is implausibly large");
+  return static_cast<std::uint64_t>(
+      std::llround(us * static_cast<double>(sim::kPsPerUs)));
+}
+
+std::uint64_t get_u64(const JsonValue& obj, const char* spec,
+                      const std::string& key) {
+  const JsonValue& v = obj.at(key);
+  if (v.is_uint64()) {
+    return v.as_uint64();
+  }
+  const double d = v.as_number();
+  config_check(std::isfinite(d) && d >= 0 && d <= 1.8e19 &&
+                   d == std::floor(d),
+               std::string(spec) + ": '" + key +
+                   "' must be a non-negative integer");
+  return static_cast<std::uint64_t>(d);
+}
+
+void append_number(std::string& out, double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  out += buf;
+}
+
+void append_u64(std::string& out, std::uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "%llu",
+                static_cast<unsigned long long>(v));
+  out += buf;
+}
+
+std::string read_file(const std::string& path, const std::string& error) {
+  std::ifstream in(path, std::ios::binary);
+  config_check(static_cast<bool>(in), error);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
 }
 
 }  // namespace fgqos::util

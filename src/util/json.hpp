@@ -78,4 +78,29 @@ class JsonValue {
 /// added). Shared by every JSON emitter in the codebase.
 std::string json_escape(const std::string& s);
 
+// Helpers shared by the JSON spec files (fault plan, serving, bank
+// budgets). \p spec names the spec in error messages, e.g. "FaultPlan".
+
+/// Member \p key of \p obj, a microsecond value, in picoseconds. It must
+/// be finite, below 1e12 us, and >= 0 (> 0 when \p allow_zero is false).
+[[nodiscard]] std::uint64_t get_us_as_ps(const JsonValue& obj,
+                                         const char* spec,
+                                         const std::string& key,
+                                         bool allow_zero = true);
+/// Member \p key of \p obj, a non-negative integer. Plain integer
+/// literals keep their exact 64-bit value (the double path rounds above
+/// 2^53, which would corrupt round-tripped seeds).
+[[nodiscard]] std::uint64_t get_u64(const JsonValue& obj, const char* spec,
+                                    const std::string& key);
+/// Appends \p v as "%.17g", which round-trips every double.
+void append_number(std::string& out, double v);
+/// Appends \p v exactly: %.17g would route it through double and corrupt
+/// values above 2^53, breaking the round trip (get_u64 accepts integers
+/// up to 1.8e19).
+void append_u64(std::string& out, std::uint64_t v);
+/// The whole file at \p path; throws ConfigError(\p error) when it
+/// cannot be opened.
+[[nodiscard]] std::string read_file(const std::string& path,
+                                    const std::string& error);
+
 }  // namespace fgqos::util

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 
 #include "exec/job.hpp"
 #include "util/config_error.hpp"
@@ -18,44 +15,10 @@ namespace {
 constexpr std::uint64_t kLineBytes = 64;
 constexpr std::uint64_t kMaxKeys = 1ull << 22;  // CDF table memory bound
 constexpr axi::Addr kAutoBase = 0x8000'0000ull;
+constexpr const char* kSpec = "ServingSpec";
 
-/// Converts a JSON microsecond value into picoseconds.
-sim::TimePs us_to_ps(double us, const std::string& key) {
-  config_check(std::isfinite(us) && us >= 0,
-               "ServingSpec: '" + key + "' must be a finite value >= 0");
-  config_check(us < 1e12, "ServingSpec: '" + key + "' is implausibly large");
-  return static_cast<sim::TimePs>(
-      std::llround(us * static_cast<double>(sim::kPsPerUs)));
-}
-
-std::uint64_t as_u64(const util::JsonValue& v, const std::string& key) {
-  // Plain integer literals keep their exact 64-bit value (the double path
-  // below rounds above 2^53, which would corrupt round-tripped seeds).
-  if (v.is_uint64()) {
-    return v.as_uint64();
-  }
-  const double d = v.as_number();
-  config_check(std::isfinite(d) && d >= 0 && d <= 1.8e19 &&
-                   d == std::floor(d),
-               "ServingSpec: '" + key + "' must be a non-negative integer");
-  return static_cast<std::uint64_t>(d);
-}
-
-void append_number(std::string& out, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out += buf;
-}
-
-/// Integer path for uint64 fields: %.17g would route them through double
-/// and silently corrupt values above 2^53, breaking the round-trip
-/// guarantee (from_json accepts integers up to 1.8e19).
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%llu",
-                static_cast<unsigned long long>(v));
-  out += buf;
-}
+using util::append_number;
+using util::append_u64;
 
 void append_us(std::string& out, sim::TimePs ps) {
   append_number(out,
@@ -176,11 +139,10 @@ ServingSpec ServingSpec::from_json(const std::string& text) {
   }
   ServingSpec spec;
   if (doc.contains("seed")) {
-    spec.seed = as_u64(doc.at("seed"), "seed");
+    spec.seed = util::get_u64(doc, kSpec, "seed");
   }
   if (doc.contains("duration_us")) {
-    spec.duration_ps = us_to_ps(doc.at("duration_us").as_number(),
-                                "duration_us");
+    spec.duration_ps = util::get_us_as_ps(doc, kSpec, "duration_us");
     config_check(spec.duration_ps > 0,
                  "ServingSpec: 'duration_us' must be > 0");
   }
@@ -208,7 +170,7 @@ ServingSpec ServingSpec::from_json(const std::string& text) {
       t.name = tv.at("name").as_string();
     }
     if (tv.contains("port")) {
-      t.port = static_cast<std::size_t>(as_u64(tv.at("port"), "port"));
+      t.port = static_cast<std::size_t>(util::get_u64(tv, kSpec, "port"));
     }
     if (tv.contains("arrival")) {
       t.arrival = arrival_kind_from_name(tv.at("arrival").as_string());
@@ -226,28 +188,26 @@ ServingSpec ServingSpec::from_json(const std::string& text) {
         t.burst_qps = tv.at("burst_qps").as_number();
       }
       if (tv.contains("dwell_us")) {
-        t.dwell_ps = us_to_ps(tv.at("dwell_us").as_number(), "dwell_us");
+        t.dwell_ps = util::get_us_as_ps(tv, kSpec, "dwell_us");
       }
       if (tv.contains("burst_dwell_us")) {
-        t.burst_dwell_ps =
-            us_to_ps(tv.at("burst_dwell_us").as_number(), "burst_dwell_us");
+        t.burst_dwell_ps = util::get_us_as_ps(tv, kSpec, "burst_dwell_us");
       }
     }
     if (tv.contains("zipf_s")) {
       t.zipf_s = tv.at("zipf_s").as_number();
     }
     if (tv.contains("keys")) {
-      t.key_count = as_u64(tv.at("keys"), "keys");
+      t.key_count = util::get_u64(tv, kSpec, "keys");
     }
     if (tv.contains("value_bytes")) {
-      const std::uint64_t v = as_u64(tv.at("value_bytes"), "value_bytes");
+      const std::uint64_t v = util::get_u64(tv, kSpec, "value_bytes");
       config_check(v >= 1 && v <= 65536,
                    "ServingSpec: 'value_bytes' must be in [1, 65536]");
       t.value_bytes = static_cast<std::uint32_t>(v);
     }
     if (tv.contains("value_bytes_max")) {
-      const std::uint64_t v =
-          as_u64(tv.at("value_bytes_max"), "value_bytes_max");
+      const std::uint64_t v = util::get_u64(tv, kSpec, "value_bytes_max");
       config_check(v <= 65536,
                    "ServingSpec: 'value_bytes_max' must be <= 65536");
       t.value_bytes_max = static_cast<std::uint32_t>(v);
@@ -256,18 +216,18 @@ ServingSpec ServingSpec::from_json(const std::string& text) {
       t.read_fraction = tv.at("read_fraction").as_number();
     }
     if (tv.contains("slo_us")) {
-      t.slo_ps = us_to_ps(tv.at("slo_us").as_number(), "slo_us");
+      t.slo_ps = util::get_us_as_ps(tv, kSpec, "slo_us");
     }
     if (tv.contains("max_outstanding")) {
-      t.max_outstanding = static_cast<std::size_t>(
-          as_u64(tv.at("max_outstanding"), "max_outstanding"));
+      t.max_outstanding =
+          static_cast<std::size_t>(util::get_u64(tv, kSpec, "max_outstanding"));
     }
     if (tv.contains("queue_capacity")) {
-      t.queue_capacity = static_cast<std::size_t>(
-          as_u64(tv.at("queue_capacity"), "queue_capacity"));
+      t.queue_capacity =
+          static_cast<std::size_t>(util::get_u64(tv, kSpec, "queue_capacity"));
     }
     if (tv.contains("start_us")) {
-      t.start_ps = us_to_ps(tv.at("start_us").as_number(), "start_us");
+      t.start_ps = util::get_us_as_ps(tv, kSpec, "start_us");
     }
     validate_tenant(t);
     for (const ServingTenantSpec& other : spec.tenants) {
@@ -283,12 +243,8 @@ ServingSpec ServingSpec::from_json(const std::string& text) {
 }
 
 ServingSpec ServingSpec::from_file(const std::string& path) {
-  std::ifstream in(path);
-  config_check(static_cast<bool>(in),
-               "ServingSpec: cannot open '" + path + "'");
-  std::ostringstream text;
-  text << in.rdbuf();
-  return from_json(text.str());
+  return from_json(
+      util::read_file(path, "ServingSpec: cannot open '" + path + "'"));
 }
 
 std::string ServingSpec::to_json() const {

@@ -5,11 +5,9 @@
 // exactly the serial outcome.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
-#include <memory>
-#include <mutex>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -63,6 +61,9 @@ TEST(ExecConfigTest, ResolveJobsAndEnv) {
   ::setenv("FGQOS_JOBS", "0", 1);
   EXPECT_GE(exec::jobs_from_env(5), 1u);
   ::setenv("FGQOS_JOBS", "many", 1);
+  EXPECT_THROW((void)exec::jobs_from_env(5), ConfigError);
+  // strtoull would wrap a leading '-' to 2^64 - 1 workers.
+  ::setenv("FGQOS_JOBS", "-1", 1);
   EXPECT_THROW((void)exec::jobs_from_env(5), ConfigError);
   ::unsetenv("FGQOS_JOBS");
 }
@@ -123,121 +124,25 @@ TEST(ScenarioRunner, ExportsExecMetrics) {
   EXPECT_EQ(m.histogram("exec.job_us").count(), 6u);
   EXPECT_EQ(m.histogram("exec.queue_wait_us").count(), 6u);
   EXPECT_NE(runner.summary().find("6 jobs on 2 workers"), std::string::npos);
+
+  // A batch of one on a pool of two starts one thread: the printed and the
+  // published utilization are the same number.
+  exec::ScenarioRunner single({2, 1});
+  single.map(1, [](const exec::JobContext& ctx) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    return ctx.index;
+  });
+  const double util = single.metrics().gauge("exec.worker_utilization").value();
+  EXPECT_EQ(single.metrics().gauge("exec.workers").value(), 1.0);
+  EXPECT_GT(util, 0.5);
+  char pct[32];
+  std::snprintf(pct, sizeof pct, "utilization %.0f%%", util * 100.0);
+  EXPECT_NE(single.summary().find(pct), std::string::npos) << single.summary();
 }
 
 // --------------------------------------------------------------------------
-// Resilient execution: timeouts, retries, partial results.
+// Partial results and interrupts.
 // --------------------------------------------------------------------------
-
-TEST(ExecSeed, AttemptZeroMatchesLegacyDerivation) {
-  EXPECT_EQ(exec::derive_seed(42, 3, 0), exec::derive_seed(42, 3));
-  // Retries re-seed: each attempt gets a distinct, reproducible stream.
-  std::set<std::uint64_t> seen;
-  for (std::uint32_t attempt = 0; attempt < 8; ++attempt) {
-    seen.insert(exec::derive_seed(42, 3, attempt));
-  }
-  EXPECT_EQ(seen.size(), 8u);
-  EXPECT_EQ(exec::derive_seed(42, 3, 5), exec::derive_seed(42, 3, 5));
-}
-
-TEST(ScenarioRunner, HangingJobTimesOutWithoutDeadlock) {
-  exec::ExecConfig cfg;
-  cfg.jobs = 2;
-  cfg.base_seed = 1;
-  cfg.job_timeout_s = 0.05;
-  exec::ScenarioRunner runner(cfg);
-  // The hung job polls the cancellation flag the runner hands out plus a
-  // local quit latch, so the abandoned attempt thread exits after the test.
-  auto quit = std::make_shared<std::atomic<bool>>(false);
-  std::vector<exec::ScenarioRunner::JobFn> batch;
-  for (std::size_t i = 0; i < 4; ++i) {
-    batch.push_back([quit](const exec::JobContext& ctx) {
-      while (ctx.index == 1 && !ctx.cancel_requested() && !quit->load()) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-    });
-  }
-  const exec::RunReport report = runner.run_report(std::move(batch));
-  quit->store(true);
-  ASSERT_EQ(report.jobs.size(), 4u);
-  EXPECT_FALSE(report.all_ok());
-  EXPECT_EQ(report.jobs[1].status, exec::JobStatus::kTimedOut);
-  EXPECT_EQ(report.jobs[1].attempts, 1u);
-  EXPECT_NE(report.jobs[1].error.find("timed out"), std::string::npos);
-  for (const std::size_t ok : {0u, 2u, 3u}) {
-    EXPECT_EQ(report.jobs[ok].status, exec::JobStatus::kOk);
-  }
-  EXPECT_EQ(report.failed_indices(), std::vector<std::size_t>{1});
-  EXPECT_NE(report.describe().find("1 timed out (1)"), std::string::npos);
-  EXPECT_EQ(runner.metrics().counter("exec.jobs_timed_out").value(), 1u);
-  EXPECT_NE(runner.summary().find("1 failed (indices 1)"), std::string::npos);
-}
-
-TEST(ScenarioRunner, TimedOutAttemptIsCancelledBeforeRetryLaunches) {
-  exec::ExecConfig cfg;
-  cfg.jobs = 1;
-  cfg.base_seed = 1;
-  cfg.job_timeout_s = 0.05;
-  cfg.max_retries = 1;
-  exec::ScenarioRunner runner(cfg);
-  // Attempt 0 hangs until its own cancellation flag flips on timeout; the
-  // retry must only start after the abandoned attempt exited, so the two
-  // attempts of this job never run concurrently.
-  auto concurrent = std::make_shared<std::atomic<int>>(0);
-  auto overlapped = std::make_shared<std::atomic<bool>>(false);
-  std::vector<exec::ScenarioRunner::JobFn> batch;
-  batch.push_back([concurrent, overlapped](const exec::JobContext& ctx) {
-    if (concurrent->fetch_add(1) != 0) {
-      overlapped->store(true);
-    }
-    if (ctx.attempt == 0) {
-      while (!ctx.cancel_requested()) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-    }
-    concurrent->fetch_sub(1);
-  });
-  const exec::RunReport report = runner.run_report(std::move(batch));
-  EXPECT_EQ(report.jobs[0].status, exec::JobStatus::kOk);
-  EXPECT_EQ(report.jobs[0].attempts, 2u);
-  EXPECT_FALSE(overlapped->load());
-  EXPECT_EQ(runner.metrics().counter("exec.jobs_retried").value(), 1u);
-  EXPECT_EQ(runner.metrics().counter("exec.jobs_completed").value(), 1u);
-  // The abandoned attempt acknowledged cancellation before run_report
-  // returned, so nothing still references this frame.
-  EXPECT_EQ(concurrent->load(), 0);
-}
-
-TEST(ScenarioRunner, RetriesUseFreshSeedLineage) {
-  exec::ExecConfig cfg;
-  cfg.jobs = 1;
-  cfg.base_seed = 9;
-  cfg.max_retries = 2;
-  exec::ScenarioRunner runner(cfg);
-  std::mutex mu;
-  std::vector<std::uint64_t> seeds;
-  std::vector<exec::ScenarioRunner::JobFn> batch;
-  batch.push_back([&](const exec::JobContext& ctx) {
-    {
-      const std::lock_guard<std::mutex> lock(mu);
-      seeds.push_back(ctx.seed);
-    }
-    if (ctx.attempt < 2) {
-      throw ConfigError("transient");
-    }
-  });
-  const exec::RunReport report = runner.run_report(std::move(batch));
-  EXPECT_EQ(report.jobs[0].status, exec::JobStatus::kOk);
-  EXPECT_EQ(report.jobs[0].attempts, 3u);
-  ASSERT_EQ(seeds.size(), 3u);
-  EXPECT_EQ(seeds[0], exec::derive_seed(9, 0));
-  EXPECT_NE(seeds[1], seeds[0]);
-  EXPECT_NE(seeds[2], seeds[1]);
-  EXPECT_EQ(seeds[1], exec::derive_seed(9, 0, 1));
-  EXPECT_EQ(runner.metrics().counter("exec.jobs_retried").value(), 2u);
-  EXPECT_EQ(runner.metrics().counter("exec.jobs_completed").value(), 1u);
-  EXPECT_EQ(runner.metrics().counter("exec.jobs_failed").value(), 0u);
-}
 
 TEST(ScenarioRunner, ReportListsEveryFailedJobAndKeepsPartialResults) {
   exec::ExecConfig cfg;

@@ -214,8 +214,8 @@ TEST(Profiler, RunnerExportsQueueDepthAndJobWall) {
   exec::ScenarioRunner runner({2, 1});
   runner.map(6, [](const exec::JobContext& ctx) { return ctx.index; });
   auto& m = runner.metrics();
-  // One wall-clock sample per attempt; no retries here, so 6.
-  EXPECT_EQ(m.histogram("exec.job_wall_ms").count(), 6u);
+  // One wall-clock sample per job.
+  EXPECT_EQ(m.histogram("exec.job_us").count(), 6u);
   // Every job was claimed by the end of the batch.
   EXPECT_EQ(m.gauge("exec.queue_depth").value(), 0.0);
 }

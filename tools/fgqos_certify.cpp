@@ -199,27 +199,22 @@ int main(int argc, char** argv) {
     spec.objective =
         search::objective_from_name(args.get("objective", "slowdown"));
     spec.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-    spec.budget_evals =
-        static_cast<std::size_t>(args.get_int("budget-evals", 64));
-    spec.restarts = static_cast<std::size_t>(args.get_int("restarts", 2));
-    spec.mu = static_cast<std::size_t>(args.get_int("mu", 4));
-    spec.lambda = static_cast<std::size_t>(args.get_int("lambda", 8));
-    spec.generations =
-        static_cast<std::size_t>(args.get_int("generations", 4));
-    spec.eval.victim_accesses =
-        static_cast<std::uint64_t>(args.get_int("victim-accesses", 256));
-    spec.eval.victim_iterations =
-        static_cast<std::uint64_t>(args.get_int("victim-iterations", 4));
-    spec.eval.deadline_ms = args.get_double("deadline-ms", 400);
+    spec.budget_evals = args.get_count("budget-evals", 64);
+    spec.restarts = args.get_count("restarts", 2);
+    spec.mu = args.get_count("mu", 4);
+    spec.lambda = args.get_count("lambda", 8);
+    spec.generations = args.get_count("generations", 4);
+    spec.eval.victim_accesses = args.get_count("victim-accesses", 256);
+    spec.eval.victim_iterations = args.get_count("victim-iterations", 4);
+    spec.eval.deadline_ms = args.get_positive("deadline-ms", 400);
     spec.eval.slo_iter_us = args.get_double("slo-iter-us", 0);
     spec.eval.regulated_budget_mbps =
         args.get_double("regulated-budget-mbps", 400);
-    spec.eval.window_us = args.get_double("window-us", 1);
-    spec.capacity_bps = args.get_double("capacity-gbps", 16) * 1e9;
+    spec.eval.window_us = args.get_positive("window-us", 1);
+    spec.capacity_bps = args.get_positive("capacity-gbps", 16) * 1e9;
     spec.max_reservable_frac = args.get_double("max-reservable-frac", 0.85);
     spec.margin = args.get_double("margin", 0.10);
-    spec.validate_seeds =
-        static_cast<std::size_t>(args.get_int("validate-seeds", 10));
+    spec.validate_seeds = args.get_count("validate-seeds", 10);
     if (!fault_spec.empty()) {
       spec.eval.faults = &fault_plan;
       spec.fault_spec_json = fault_plan.to_json();
@@ -230,8 +225,7 @@ int main(int argc, char** argv) {
       throw ConfigError("--resume requires --journal");
     }
     exec::ExecConfig ec;
-    ec.jobs = static_cast<std::size_t>(args.get_int(
-        "jobs", static_cast<std::int64_t>(exec::jobs_from_env(1))));
+    ec.jobs = args.get_count("jobs", exec::jobs_from_env(1));
     ec.base_seed = spec.seed;
     for (const auto& k : args.unused_keys()) {
       throw ConfigError("unknown option --" + k + " (see --help)");

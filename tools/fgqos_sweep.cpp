@@ -42,8 +42,8 @@ using namespace fgqos;
 namespace {
 
 /// Signal handler target: request_stop() is one atomic store, so running
-/// jobs wind down cooperatively and unclaimed points are skipped; the
-/// merged CSV is still written from whatever completed.
+/// points finish and unclaimed points are skipped; the merged CSV is
+/// still written from whatever completed.
 exec::ScenarioRunner* g_runner = nullptr;
 
 extern "C" void on_signal(int) {
@@ -184,8 +184,7 @@ int main(int argc, char** argv) {
           "            [--timeseries] [--timeseries-filter GLOBS] "
           "[--timeseries-window-us W]\n"
           "            [--journal] [--profile]\n"
-          "            [--fault-spec FILE] [--job-timeout-s T] "
-          "[--job-retries N]\n"
+          "            [--fault-spec FILE]\n"
           "            [--serving-spec FILE]\n"
           "            [--mapping row_bank_col|bank_interleaved|"
           "bank_partitioned]\n"
@@ -207,12 +206,11 @@ int main(int argc, char** argv) {
           "seeded per point.\n"
           "--fault-spec arms the same JSON fault plan (docs/FAULTS.md) in\n"
           "every point, seeded per point, so faulty sweeps stay\n"
-          "deterministic for any job count. --job-timeout-s bounds each\n"
-          "point's wall-clock time; timed-out or crashed points are\n"
-          "retried --job-retries times with fresh seeds, and the bundle is\n"
-          "still written from the points that succeeded (failed indices\n"
-          "are reported). SIGINT/SIGTERM skip remaining points and flush\n"
-          "partial results.\n"
+          "deterministic for any job count.\n"
+          "Every point runs once. A point that fails with a configuration\n"
+          "error is reported, and the bundle is still written from the\n"
+          "points that succeeded. SIGINT/SIGTERM skip the points not yet\n"
+          "started and flush partial results.\n"
           "--envelope-spec admits every point's hw-scheme budgets through a\n"
           "QosManager backed by the certified worst-case envelope\n"
           "(docs/CERTIFICATION.md); rejected reservations leave that port\n"
@@ -239,9 +237,6 @@ int main(int argc, char** argv) {
     exec::ExecConfig ec;
     ec.jobs = args.get_count("jobs", exec::jobs_from_env(1));
     ec.base_seed = t.seed;
-    ec.job_timeout_s = args.get_double("job-timeout-s", 0);
-    ec.max_retries =
-        static_cast<std::uint32_t>(args.get_count("job-retries", 0));
     for (const auto& k : args.unused_keys()) {
       throw ConfigError("unknown option --" + k + " (see --help)");
     }
@@ -481,11 +476,8 @@ int main(int argc, char** argv) {
     if (!report.all_ok()) {
       std::printf("%s\n", report.describe().c_str());
       for (const std::size_t i : report.failed_indices()) {
-        std::fprintf(stderr, "point %s=%s %s after %u attempt(s): %s\n",
-                     knob.c_str(), values[i].c_str(),
-                     exec::job_status_name(report.jobs[i].status),
-                     report.jobs[i].attempts,
-                     report.jobs[i].error.c_str());
+        std::fprintf(stderr, "point %s=%s failed: %s\n", knob.c_str(),
+                     values[i].c_str(), report.jobs[i].error.c_str());
       }
       return runner.stop_requested() ? 130 : 1;
     }
