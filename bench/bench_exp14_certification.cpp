@@ -17,6 +17,10 @@
 ///      min bandwidth, slowdown). Regulation turns an adversarial
 ///      worst case into a bounded one.
 ///
+/// FGQOS_TRACE / FGQOS_BLAME observe the validation replays only, one
+/// file per replayed seed (.1, .2 ... suffixes, as in every bench); the
+/// search phase always runs unobserved.
+///
 /// `--quick` shrinks the search (CI smoke); `--jobs N` fans evaluation
 /// batches out (the envelope is jobs-invariant by construction). CSV
 /// `exp14_certification.csv` feeds plot_experiments.py; exit status is
@@ -117,7 +121,8 @@ int main(int argc, char** argv) {
   const std::vector<search::EvalResult> replays = runner.map(
       env.validate_seeds.size(), [&](const exec::JobContext& ctx) {
         return search::replay_envelope(env, env.validate_seeds[ctx.index],
-                                       /*regulated=*/true, nullptr);
+                                       /*regulated=*/true, nullptr, "",
+                                       env_observers(), maybe_dump_env_blame);
       });
   std::size_t excursions = 0;
   for (std::size_t i = 0; i < replays.size(); ++i) {

@@ -185,6 +185,7 @@ RunReport ScenarioRunner::run_report(std::vector<JobFn> batch) {
   wall_s_ += batch_wall_s;
   thread_s_ += batch_wall_s * static_cast<double>(used);
   jobs_done_ += n;
+  last_workers_ = used;
   metrics_.gauge("exec.workers").set(static_cast<double>(used));
   metrics_.gauge("exec.wall_s").set(wall_s_);
   metrics_.gauge("exec.busy_s").set(busy_s_);
@@ -217,8 +218,8 @@ std::string ScenarioRunner::summary() const {
   std::snprintf(buf, sizeof buf,
                 "exec: %llu jobs on %zu workers, wall %.2f s, busy %.2f s, "
                 "speedup %.2fx, utilization %.0f%%",
-                static_cast<unsigned long long>(jobs_done_), workers_, wall_s_,
-                busy_s_, speedup, utilization() * 100.0);
+                static_cast<unsigned long long>(jobs_done_), last_workers_,
+                wall_s_, busy_s_, speedup, utilization() * 100.0);
   std::string out = buf;
   if (!failed_indices_.empty()) {
     std::vector<std::size_t> sorted = failed_indices_;

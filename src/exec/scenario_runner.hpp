@@ -147,8 +147,10 @@ class ScenarioRunner {
 
   /// One-line human summary of the accumulated exec metrics, e.g.
   /// "exec: 6 jobs on 4 workers, wall 1.2 s, busy 4.4 s, speedup 3.7x,
-  /// utilization 92%". When jobs failed, every failed submission index is
-  /// appended ("..., 2 failed (indices 2, 6)").
+  /// utilization 92%". The worker count is the threads the last batch
+  /// started (the exec.workers gauge), not the pool size. When jobs
+  /// failed, every failed submission index is appended ("..., 2 failed
+  /// (indices 2, 6)").
   [[nodiscard]] std::string summary() const;
 
  private:
@@ -160,6 +162,7 @@ class ScenarioRunner {
   ExecConfig cfg_;
   std::size_t workers_ = 1;
   telemetry::MetricsRegistry metrics_;
+  std::size_t last_workers_ = 0;  ///< threads the last batch started
   std::uint64_t jobs_done_ = 0;
   double wall_s_ = 0;
   double busy_s_ = 0;

@@ -30,7 +30,9 @@ EvalResult evaluate_attack(const AttackConfig* config, const EvalSpec& spec,
                            std::uint64_t sim_seed, bool regulated,
                            sim::TimePs slo_iter_ps,
                            const std::string& metrics_json_path,
-                           const telemetry::RunManifest* manifest) {
+                           const telemetry::RunManifest* manifest,
+                           const scenario::Observers& obs,
+                           const std::function<void(soc::Soc&)>& after_run) {
   scenario::Spec scn;
   wl::PointerChaseConfig chase;
   chase.name = "victim";
@@ -54,13 +56,16 @@ EvalResult evaluate_attack(const AttackConfig* config, const EvalSpec& spec,
   if (spec.faults != nullptr && !spec.faults->empty()) {
     scn.faults = spec.faults;
   }
-  scenario::Scenario built = scenario::build(scn, {}, sim_seed);
+  scenario::Scenario built = scenario::build(scn, obs, sim_seed);
   soc::Soc& soc = *built.chip;
   cpu::CpuCore& core = *built.critical;
 
   const auto deadline =
       static_cast<sim::TimePs>(spec.deadline_ms * sim::kPsPerMs);
   const bool finished = soc.run_until_cores_finished(deadline);
+  if (after_run) {
+    after_run(soc);
+  }
 
   EvalResult r;
   r.deadline_missed = !finished;

@@ -12,9 +12,11 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 
 #include "fault/fault_plan.hpp"
+#include "scenario/scenario.hpp"
 #include "search/attack_space.hpp"
 #include "sim/time.hpp"
 
@@ -67,11 +69,16 @@ struct EvalResult {
 /// solo and attack runs agree). A non-empty \p metrics_json_path saves
 /// the platform's metrics snapshot (port.* gauges/counters, stamped with
 /// \p manifest) — the measured side of a bounds-vs-measured check.
+/// \p obs attaches observers to the simulation (none by default), and
+/// \p after_run, when set, sees the finished platform before it is torn
+/// down (benches write their blame CSV there).
 [[nodiscard]] EvalResult evaluate_attack(
     const AttackConfig* config, const EvalSpec& spec, std::uint64_t sim_seed,
     bool regulated, sim::TimePs slo_iter_ps,
     const std::string& metrics_json_path = "",
-    const telemetry::RunManifest* manifest = nullptr);
+    const telemetry::RunManifest* manifest = nullptr,
+    const scenario::Observers& obs = {},
+    const std::function<void(soc::Soc&)>& after_run = nullptr);
 
 /// Extracts the objective value from \p r (slowdown needs the solo mean).
 [[nodiscard]] double objective_value(Objective o, const EvalResult& r,

@@ -525,7 +525,9 @@ SearchOutcome run_search(const SearchSpec& spec, exec::ScenarioRunner& runner,
 EvalResult replay_envelope(const qos::CertifiedEnvelope& env,
                            std::uint64_t sim_seed, bool regulated,
                            const fault::FaultPlan* faults,
-                           const std::string& metrics_json_path) {
+                           const std::string& metrics_json_path,
+                           const scenario::Observers& obs,
+                           const std::function<void(soc::Soc&)>& after_run) {
   const std::string expect =
       env.fault_spec_hash.empty()
           ? ""
@@ -552,7 +554,7 @@ EvalResult replay_envelope(const qos::CertifiedEnvelope& env,
   manifest.scenario +=
       std::string(" replay=1 regulated=") + (regulated ? "1" : "0");
   return evaluate_attack(&cfg, spec, sim_seed, regulated, slo_ps,
-                         metrics_json_path, &manifest);
+                         metrics_json_path, &manifest, obs, after_run);
 }
 
 }  // namespace fgqos::search

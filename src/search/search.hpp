@@ -96,10 +96,13 @@ struct SearchOutcome {
 /// \p faults must be the same plan the certification composed (nullptr
 /// when fault_spec_hash is empty). A non-empty \p metrics_json_path
 /// exports the replay's metrics snapshot, manifest-stamped from the
-/// envelope, ready for `fgqos_report --envelope --measured`.
+/// envelope, ready for `fgqos_report --envelope --measured`. \p obs and
+/// \p after_run observe the replay as in evaluate_attack().
 [[nodiscard]] EvalResult replay_envelope(
     const qos::CertifiedEnvelope& env, std::uint64_t sim_seed, bool regulated,
     const fault::FaultPlan* faults,
-    const std::string& metrics_json_path = "");
+    const std::string& metrics_json_path = "",
+    const scenario::Observers& obs = {},
+    const std::function<void(soc::Soc&)>& after_run = nullptr);
 
 }  // namespace fgqos::search

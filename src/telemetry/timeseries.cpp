@@ -67,9 +67,6 @@ void TimeSeriesRecorder::start() {
   if (names_.empty()) {
     return;  // nothing selected: never touches the event queue
   }
-  starts_.assign(cfg_.capacity, 0);
-  ends_.assign(cfg_.capacity, 0);
-  values_.assign(cfg_.capacity * names_.size(), 0.0);
   window_start_ = sim_.now();
   // Seed kDelta baselines so the first window reports growth since start,
   // not growth since time zero.
@@ -104,10 +101,16 @@ void TimeSeriesRecorder::finish(sim::TimePs now) {
 }
 
 void TimeSeriesRecorder::capture(sim::TimePs now) {
+  const std::size_t n = names_.size();
   std::size_t slot;
   if (held_ < cfg_.capacity) {
-    slot = ring_slot(held_);
+    // Until the ring is full head_ is 0 and slots fill in order, so the
+    // storage grows by one row here instead of being allocated up front.
+    slot = held_;
     ++held_;
+    starts_.push_back(0);
+    ends_.push_back(0);
+    values_.resize(values_.size() + n);
   } else {
     slot = head_;
     head_ = (head_ + 1) % cfg_.capacity;
@@ -115,7 +118,6 @@ void TimeSeriesRecorder::capture(sim::TimePs now) {
   }
   starts_[slot] = window_start_;
   ends_[slot] = now;
-  const std::size_t n = names_.size();
   for (std::size_t i = 0; i < n; ++i) {
     const double cur = probes_[i](now);
     double v = cur;

@@ -1,6 +1,6 @@
 /// \file timeseries.hpp
 /// \brief Windowed time-series recorder: per-window samples of selected
-///        platform metrics in fixed-memory ring buffers.
+///        platform metrics in bounded ring buffers.
 ///
 /// The third observability pillar (after the metrics registry and the
 /// Chrome trace): end-of-run snapshots show *where a run ended up*, traces
@@ -12,7 +12,7 @@
 /// Sampling is pull-based: components are never touched on their hot
 /// paths. At every window rollover (a recurring simulator event) the
 /// recorder invokes one probe per registered series and stores the value
-/// in a fixed-capacity ring (oldest windows evicted first, eviction
+/// in a bounded ring (oldest windows evicted first, eviction
 /// counted). Each series also feeds a sim::Histogram summary covering
 /// every window of the run, evicted or not, so percentile summaries stay
 /// exact even when the ring wrapped.
@@ -49,7 +49,8 @@ struct TimeSeriesConfig {
   /// Comma-separated series-name globs ("qos.*,dram.*"); empty admits
   /// every registered series.
   std::string filter;
-  /// Ring capacity in windows (fixed memory: capacity * series doubles).
+  /// Ring capacity in windows: at most capacity * series doubles, grown
+  /// one window at a time until the ring is full.
   std::size_t capacity = 4096;
 };
 
@@ -152,7 +153,8 @@ class TimeSeriesRecorder {
   std::vector<double> prev_;  ///< previous cumulative value (kDelta)
   std::vector<sim::Histogram> summaries_;
   /// Ring storage: boundaries per window plus a flat value matrix
-  /// (capacity rows x series columns), preallocated at start().
+  /// (held rows x series columns), grown by capture() up to capacity
+  /// rows.
   std::vector<sim::TimePs> starts_;
   std::vector<sim::TimePs> ends_;
   std::vector<double> values_;

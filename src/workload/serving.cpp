@@ -1,7 +1,9 @@
 #include "workload/serving.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <mutex>
 
 #include "exec/job.hpp"
 #include "util/config_error.hpp"
@@ -13,7 +15,9 @@ namespace fgqos::wl {
 namespace {
 
 constexpr std::uint64_t kLineBytes = 64;
-constexpr std::uint64_t kMaxKeys = 1ull << 22;  // CDF table memory bound
+// Bounds the shared Zipf table: at 2^22 keys a 32 MiB CDF plus a 1 MiB
+// guide.
+constexpr std::uint64_t kMaxKeys = 1ull << 22;
 constexpr axi::Addr kAutoBase = 0x8000'0000ull;
 constexpr const char* kSpec = "ServingSpec";
 
@@ -303,28 +307,91 @@ std::string ServingSpec::to_json() const {
   return out;
 }
 
+namespace {
+
+/// One guide bucket per 16 keys, rounded up to a power of two: then
+/// u * m and k / m are exact in double, so bucket k holds exactly the u
+/// in [k / m, (k + 1) / m) and no rounding can put a draw in the wrong
+/// one. Finer guides measured no faster on a cold cache (the CDF line a
+/// draw lands on is the miss either way) and cost more memory.
+std::size_t guide_buckets(std::uint64_t n) {
+  return std::bit_ceil(static_cast<std::size_t>(std::max<std::uint64_t>(
+      1, n / 16)));
+}
+
+ZipfianSampler::Table build_zipf_table(std::uint64_t n, double s) {
+  ZipfianSampler::Table t;
+  std::vector<double>& cdf = t.cdf;
+  cdf.resize(static_cast<std::size_t>(n));
+  double total = 0;
+  for (std::size_t i = 0; i < cdf.size(); ++i) {
+    total += std::pow(static_cast<double>(i + 1), -s);
+    cdf[i] = total;
+  }
+  for (double& c : cdf) {
+    c /= total;
+  }
+  cdf.back() = 1.0;
+  const std::size_t m = guide_buckets(n);
+  t.guide.resize(m + 1);
+  std::size_t i = 0;
+  for (std::size_t k = 0; k <= m; ++k) {
+    const double edge = static_cast<double>(k) / static_cast<double>(m);
+    while (i < cdf.size() && cdf[i] <= edge) {
+      ++i;
+    }
+    t.guide[k] = static_cast<std::uint32_t>(i);
+  }
+  return t;
+}
+
+/// The table of the last (n, s) built in the process. A single entry
+/// bounds the memory by construction. The build runs outside the lock:
+/// concurrent misses may each build, and the last one stays cached.
+std::shared_ptr<const ZipfianSampler::Table> shared_zipf_table(
+    std::uint64_t n, double s) {
+  static std::mutex mu;
+  static std::shared_ptr<const ZipfianSampler::Table> last;
+  static double last_s = 0;
+  {
+    const std::lock_guard<std::mutex> lock(mu);
+    if (last != nullptr && last->cdf.size() == n && last_s == s) {
+      return last;
+    }
+  }
+  auto built =
+      std::make_shared<const ZipfianSampler::Table>(build_zipf_table(n, s));
+  const std::lock_guard<std::mutex> lock(mu);
+  last = built;
+  last_s = s;
+  return built;
+}
+
+}  // namespace
+
 ZipfianSampler::ZipfianSampler(std::uint64_t n, double s) {
   config_check(n >= 1 && n <= kMaxKeys,
                "ZipfianSampler: n must be in [1, 2^22]");
   config_check(std::isfinite(s) && s >= 0 && s <= 8,
                "ZipfianSampler: s must be in [0, 8]");
-  cdf_.resize(static_cast<std::size_t>(n));
-  double total = 0;
-  for (std::size_t i = 0; i < cdf_.size(); ++i) {
-    total += std::pow(static_cast<double>(i + 1), -s);
-    cdf_[i] = total;
-  }
-  for (double& c : cdf_) {
-    c /= total;
-  }
-  cdf_.back() = 1.0;
+  table_ = shared_zipf_table(n, s);
 }
 
-std::uint64_t ZipfianSampler::sample(sim::Xoshiro256& rng) const {
-  const double u = rng.next_double();
-  const auto it = std::upper_bound(cdf_.begin(), cdf_.end(), u);
-  const auto idx = static_cast<std::size_t>(it - cdf_.begin());
-  return std::min(idx, cdf_.size() - 1);
+std::uint64_t ZipfianSampler::rank_at(double u) const {
+  const std::vector<double>& cdf = table_->cdf;
+  auto first = cdf.begin();
+  auto last = cdf.end();
+  // Outside [0, 1) there is no bucket; search the whole table.
+  if (u >= 0.0 && u < 1.0) {
+    const std::vector<std::uint32_t>& guide = table_->guide;
+    const auto k = static_cast<std::size_t>(
+        u * static_cast<double>(guide.size() - 1));
+    first = cdf.begin() + guide[k];
+    last = cdf.begin() + guide[k + 1];
+  }
+  const auto idx =
+      static_cast<std::size_t>(std::upper_bound(first, last, u) - cdf.begin());
+  return std::min(idx, cdf.size() - 1);
 }
 
 std::uint64_t serving_tenant_seed(std::uint64_t spec_seed,

@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -100,16 +101,40 @@ struct ServingSpec {
 
 /// Bounded Zipfian sampler over ranks [0, n): P(rank r) ~ 1/(r+1)^s.
 /// Inverse-CDF over a precomputed table — exact for any s >= 0 (s = 0 is
-/// uniform), O(log n) per sample, used only at op-buffer generation time.
+/// uniform), used only at op-buffer generation time.
+///
+/// The table is immutable and shared: a sampler reuses the table of the
+/// last (n, s) built in the process and builds only when n or s differs,
+/// so a run pays for the samples it draws, not for the key space. Two
+/// threads that miss at once both build; the tables are equal, so the
+/// race costs time, never a different rank.
 class ZipfianSampler {
  public:
+  /// The shared immutable part.
+  struct Table {
+    /// cdf[i] = P(rank <= i), the sequential pow sum normalised by its
+    /// total; back() is exactly 1.
+    std::vector<double> cdf;
+    /// Chen's guide table over m = guide.size() - 1 equal buckets of u,
+    /// m a power of two: guide[k] is the first index whose CDF exceeds
+    /// k / m, so the rank of any u in bucket k lies in
+    /// [guide[k], guide[k + 1]].
+    std::vector<std::uint32_t> guide;
+  };
+
   ZipfianSampler(std::uint64_t n, double s);
   /// Rank in [0, n); rank 0 is the most popular key.
-  [[nodiscard]] std::uint64_t sample(sim::Xoshiro256& rng) const;
-  [[nodiscard]] std::uint64_t n() const { return cdf_.size(); }
+  [[nodiscard]] std::uint64_t sample(sim::Xoshiro256& rng) const {
+    return rank_at(rng.next_double());
+  }
+  /// Rank of the uniform draw \p u in [0, 1): the first index whose CDF
+  /// exceeds u (the full-table std::upper_bound), clamped to n - 1.
+  [[nodiscard]] std::uint64_t rank_at(double u) const;
+  [[nodiscard]] std::uint64_t n() const { return table_->cdf.size(); }
+  [[nodiscard]] const Table& table() const { return *table_; }
 
  private:
-  std::vector<double> cdf_;
+  std::shared_ptr<const Table> table_;
 };
 
 /// One pre-generated request descriptor.

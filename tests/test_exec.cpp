@@ -138,6 +138,8 @@ TEST(ScenarioRunner, ExportsExecMetrics) {
   char pct[32];
   std::snprintf(pct, sizeof pct, "utilization %.0f%%", util * 100.0);
   EXPECT_NE(single.summary().find(pct), std::string::npos) << single.summary();
+  EXPECT_NE(single.summary().find("1 jobs on 1 workers"), std::string::npos)
+      << single.summary();
 }
 
 // --------------------------------------------------------------------------

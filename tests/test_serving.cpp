@@ -7,14 +7,21 @@
 //    in_flight + queue_depth at any instant, with equality of the
 //    finished split after drain;
 //  * port exclusivity between serving tenants and traffic generators;
+//  * the shared Zipf table — one bit-exact table per (keys, s), guide
+//    searches equal to the full inverse-CDF search, and op buffers built
+//    on four threads at once equal to the serial one;
 //  * the headline QoS defense — an LC tenant misses its SLO against
 //    unregulated bulk masters, and the regulator + SLA watchdog +
 //    adaptive controller stack restores attainment >= 99%.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <string>
 #include <vector>
 
+#include "exec/scenario_runner.hpp"
 #include "scenario/scenario.hpp"
 #include "soc/soc.hpp"
 #include "util/config_error.hpp"
@@ -229,6 +236,122 @@ TEST(ServingTenant, PortExclusivityIsEnforcedBothWays) {
     EXPECT_THROW(
         (void)chip.add_serving_tenant(spec.tenants[0], spec.duration_ps, 2),
         ConfigError);
+  }
+}
+
+// --------------------------------------------------------------------------
+// The shared Zipf table
+// --------------------------------------------------------------------------
+
+/// The CDF as the sampler has always computed it: sequential pow sum,
+/// normalised by the total, last entry pinned to 1.
+std::vector<double> fresh_zipf_cdf(std::uint64_t n, double s) {
+  std::vector<double> cdf(n);
+  double total = 0;
+  for (std::size_t i = 0; i < cdf.size(); ++i) {
+    total += std::pow(static_cast<double>(i + 1), -s);
+    cdf[i] = total;
+  }
+  for (double& c : cdf) {
+    c /= total;
+  }
+  cdf.back() = 1.0;
+  return cdf;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(ZipfTable, OneShapeSharesOneBitExactTable) {
+  const wl::ZipfianSampler a(65536, 0.99);
+  const wl::ZipfianSampler b(65536, 0.99);
+  EXPECT_EQ(&a.table(), &b.table());
+  EXPECT_TRUE(same_bits(a.table().cdf, fresh_zipf_cdf(65536, 0.99)));
+
+  // Another shape replaces the cached table; samplers holding the old one
+  // keep it, and the next sampler of the old shape builds it again.
+  const wl::ZipfianSampler other(65536, 1.2);
+  EXPECT_NE(&other.table(), &a.table());
+  EXPECT_TRUE(same_bits(other.table().cdf, fresh_zipf_cdf(65536, 1.2)));
+  const wl::ZipfianSampler again(65536, 0.99);
+  EXPECT_NE(&again.table(), &a.table());
+  EXPECT_TRUE(same_bits(again.table().cdf, a.table().cdf));
+  const wl::ZipfianSampler fewer(1024, 0.99);
+  EXPECT_NE(&fewer.table(), &again.table());
+  EXPECT_TRUE(same_bits(fewer.table().cdf, fresh_zipf_cdf(1024, 0.99)));
+}
+
+TEST(ZipfTable, GuideSearchEqualsFullSearch) {
+  for (const std::uint64_t n : {1ull, 2ull, 7ull, 65536ull}) {
+    for (const double s : {0.0, 0.99, 8.0}) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " s=" + std::to_string(s));
+      const wl::ZipfianSampler z(n, s);
+      const std::vector<double>& cdf = z.table().cdf;
+      const auto full = [&](double u) {
+        const auto idx = static_cast<std::uint64_t>(
+            std::upper_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+        return std::min(idx, n - 1);
+      };
+      std::size_t checked = 0;
+      const auto check = [&](double u) {
+        if (!(u >= 0.0 && u < 1.0)) {
+          return true;
+        }
+        ++checked;
+        if (z.rank_at(u) == full(u)) {
+          return true;
+        }
+        ADD_FAILURE() << "u=" << u << " guide " << z.rank_at(u) << " full "
+                      << full(u);
+        return false;
+      };
+      sim::Xoshiro256 rng(n * 1000 + static_cast<std::uint64_t>(s * 100));
+      for (int i = 0; i < 100000; ++i) {
+        ASSERT_TRUE(check(rng.next_double()));
+      }
+      // Every bucket edge and the CDF's own steps, each with its nearest
+      // neighbours on both sides.
+      const std::size_t m = z.table().guide.size() - 1;
+      std::vector<double> points;
+      for (std::size_t k = 0; k <= m; ++k) {
+        points.push_back(static_cast<double>(k) / static_cast<double>(m));
+      }
+      points.insert(points.end(), cdf.begin(), cdf.end());
+      for (const double p : points) {
+        ASSERT_TRUE(check(std::nextafter(p, -1.0)));
+        ASSERT_TRUE(check(p));
+        ASSERT_TRUE(check(std::nextafter(p, 2.0)));
+      }
+      EXPECT_GT(checked, 100000u);
+    }
+  }
+}
+
+TEST(ZipfTable, ConcurrentGenerateOpsEqualsSerial) {
+  const wl::ServingSpec serving =
+      scenario::kv_serving(200e3, 2 * sim::kPsPerMs);
+  const wl::ServingTenantSpec& spec = serving.tenants[0];
+  // Another shape in the cache makes the four jobs race on the first
+  // build of this one.
+  (void)wl::ZipfianSampler(3, 0.5);
+  exec::ScenarioRunner runner({4, 1});
+  const std::vector<std::vector<wl::ServingOp>> parallel =
+      runner.map(4, [&](const exec::JobContext&) {
+        return wl::generate_ops(spec, serving.duration_ps, 11);
+      });
+  const std::vector<wl::ServingOp> serial =
+      wl::generate_ops(spec, serving.duration_ps, 11);
+  ASSERT_GT(serial.size(), 300u);
+  for (const std::vector<wl::ServingOp>& ops : parallel) {
+    ASSERT_EQ(ops.size(), serial.size());
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      ASSERT_EQ(ops[i].arrival_ps, serial[i].arrival_ps) << i;
+      ASSERT_EQ(ops[i].addr, serial[i].addr) << i;
+      ASSERT_EQ(ops[i].bytes, serial[i].bytes) << i;
+      ASSERT_EQ(ops[i].dir, serial[i].dir) << i;
+    }
   }
 }
 

@@ -551,6 +551,57 @@ TEST(TimeSeries, GlobFilterSelectsSeries) {
                               probe));
 }
 
+TEST(TimeSeries, RingBelowCapacityHoldsOnlyTheSampledWindows) {
+  // Ten windows recorded into rings of 10, 11 and the default 4096
+  // windows: none evicts, and all export the same rows, window 0 first.
+  std::string csv_ref;
+  std::string json_ref;
+  for (const std::size_t capacity : {10ul, 11ul, 4096ul}) {
+    SCOPED_TRACE(capacity);
+    sim::Simulator s;
+    telemetry::TimeSeriesConfig tc;
+    tc.capacity = capacity;
+    telemetry::TimeSeriesRecorder ts(s, tc);
+    ASSERT_TRUE(ts.add_series(
+        "t.gauge", telemetry::TimeSeriesRecorder::Kind::kGauge,
+        [](sim::TimePs now) {
+          return static_cast<double>(now) / sim::kPsPerUs;
+        }));
+    ASSERT_TRUE(ts.add_series("t.delta",
+                              telemetry::TimeSeriesRecorder::Kind::kDelta,
+                              [](sim::TimePs now) {
+                                return static_cast<double>(now) / 1e6;
+                              }));
+    ts.start();
+    s.run_until(1000 * sim::kPsPerUs);
+    ts.finish(s.now());
+    EXPECT_EQ(ts.windows_held(), 10u);
+    EXPECT_EQ(ts.windows_dropped(), 0u);
+    std::ostringstream csv;
+    ts.write_csv(csv);
+    std::ostringstream json;
+    ts.write_json(json, nullptr);
+    if (csv_ref.empty()) {
+      std::string want = "series,window,start_ps,end_ps,value\n";
+      for (std::uint64_t w = 0; w < 10; ++w) {
+        const std::string start = std::to_string(w * 100 * sim::kPsPerUs);
+        const std::string end =
+            std::to_string((w + 1) * 100 * sim::kPsPerUs);
+        want += "t.gauge," + std::to_string(w) + "," + start + "," + end +
+                "," + std::to_string((w + 1) * 100) + "\n";
+        want += "t.delta," + std::to_string(w) + "," + start + "," + end +
+                ",100\n";
+      }
+      EXPECT_EQ(csv.str(), want);
+      csv_ref = csv.str();
+      json_ref = json.str();
+    } else {
+      EXPECT_EQ(csv.str(), csv_ref);
+      EXPECT_EQ(json.str(), json_ref);
+    }
+  }
+}
+
 TEST(TimeSeries, EmptySelectionIsANoOp) {
   sim::Simulator s;
   telemetry::TimeSeriesConfig tc;
@@ -591,9 +642,13 @@ TEST(TimeSeries, RingEvictsOldestButSummariesStayExact) {
   const auto samples = ts.samples(0);
   ASSERT_EQ(samples.size(), 4u);
   // Oldest retained window is the 7th (starts at 600us).
-  EXPECT_EQ(samples[0].start, 600 * sim::kPsPerUs);
-  EXPECT_DOUBLE_EQ(samples[0].value, 700.0);
-  EXPECT_DOUBLE_EQ(samples[3].value, 1000.0);
+  // The ring wrapped twice; the held windows still come out oldest
+  // first, windows 7..10.
+  for (std::size_t w = 0; w < samples.size(); ++w) {
+    EXPECT_EQ(samples[w].start, (600 + 100 * w) * sim::kPsPerUs) << w;
+    EXPECT_DOUBLE_EQ(samples[w].value, 700.0 + 100.0 * static_cast<double>(w))
+        << w;
+  }
   // CSV window numbering stays global across eviction.
   std::ostringstream csv;
   ts.write_csv(csv);

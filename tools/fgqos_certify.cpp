@@ -25,8 +25,10 @@
 ///   fgqos_certify --resume --journal search.jsonl --out envelope.json
 ///   fgqos_certify --replay envelope.json --replay-seed 8
 ///                 --metrics-json measured.json
+#include <cmath>
 #include <csignal>
 #include <cstdio>
+#include <string>
 
 #include "fault/fault_plan.hpp"
 #include "search/search.hpp"
@@ -44,6 +46,17 @@ extern "C" void on_signal(int) {
   if (g_runner != nullptr) {
     g_runner->request_stop();
   }
+}
+
+/// get_double() for a flag whose value must satisfy \p ok; the error
+/// names the flag, the accepted range \p want and the value given.
+template <class Pred>
+double get_checked(const util::ArgParser& args, const std::string& key,
+                   double def, Pred ok, const char* want) {
+  const double v = args.get_double(key, def);
+  config_check(ok(v), "--" + key + " must be " + want + ", got '" +
+                          args.get(key) + "'");
+  return v;
 }
 
 void usage() {
@@ -70,8 +83,10 @@ void usage() {
       "  --regulated-budget-mbps B  per-HP-port budget when regulated (400)\n"
       "  --window-us W         regulation window (1)\n"
       "  --capacity-gbps C     admission capacity (16)\n"
-      "  --max-reservable-frac F    reservable fraction of capacity (0.85)\n"
-      "  --margin M            safety margin on every bound (0.10)\n"
+      "  --max-reservable-frac F    reservable fraction of capacity, in\n"
+      "                        (0, 1] (0.85)\n"
+      "  --margin M            safety margin on every bound, in [0, 1)\n"
+      "                        (0.10)\n"
       "  --validate-seeds N    regulated argmax replays folded into the\n"
       "                        bounds, at seeds seed+1..seed+N (10)\n"
       "  --fault-spec FILE     compose a JSON fault plan into every\n"
@@ -207,13 +222,20 @@ int main(int argc, char** argv) {
     spec.eval.victim_accesses = args.get_count("victim-accesses", 256);
     spec.eval.victim_iterations = args.get_count("victim-iterations", 4);
     spec.eval.deadline_ms = args.get_positive("deadline-ms", 400);
-    spec.eval.slo_iter_us = args.get_double("slo-iter-us", 0);
+    spec.eval.slo_iter_us = get_checked(
+        args, "slo-iter-us", 0,
+        [](double v) { return std::isfinite(v) && v >= 0; }, ">= 0");
     spec.eval.regulated_budget_mbps =
-        args.get_double("regulated-budget-mbps", 400);
+        args.get_positive("regulated-budget-mbps", 400);
     spec.eval.window_us = args.get_positive("window-us", 1);
     spec.capacity_bps = args.get_positive("capacity-gbps", 16) * 1e9;
-    spec.max_reservable_frac = args.get_double("max-reservable-frac", 0.85);
-    spec.margin = args.get_double("margin", 0.10);
+    spec.max_reservable_frac = get_checked(
+        args, "max-reservable-frac", 0.85,
+        [](double v) { return v > 0 && v <= 1; }, "in (0, 1]");
+    // The certified bounds scale by 1 + margin and 1 - margin.
+    spec.margin = get_checked(
+        args, "margin", 0.10, [](double v) { return v >= 0 && v < 1; },
+        "in [0, 1)");
     spec.validate_seeds = args.get_count("validate-seeds", 10);
     if (!fault_spec.empty()) {
       spec.eval.faults = &fault_plan;
