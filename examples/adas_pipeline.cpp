@@ -11,10 +11,10 @@
 ///                     fast as it can;
 ///  * logger DMA     — bulk best-effort writes to DRAM.
 ///
-/// Without QoS the camera keeps its rate only by luck and the filter
-/// blows its deadline; with reservations programmed through the QoS
-/// manager both guarantees hold while the CNN still gets most of the
-/// leftover bandwidth.
+/// The example runs the pipeline without and with reservations programmed
+/// through the QoS manager, and states from the measured numbers how close
+/// the camera comes to its line rate and how often the filter misses its
+/// deadline in each run.
 #include <cstdio>
 
 #include "qos/qos_manager.hpp"
@@ -28,6 +28,7 @@ namespace {
 
 constexpr sim::TimePs kDeadlinePs =
     sim::kPsPerMs + sim::kPsPerMs / 2;  // 1.5 ms
+constexpr double kCameraLineBps = 1.9e9;
 
 struct PipelineResult {
   double camera_bps;
@@ -46,7 +47,7 @@ PipelineResult run(bool with_qos) {
   wl::TrafficGenConfig cam;
   cam.name = "camera";
   cam.pattern = wl::Pattern::kSeqWrite;  // frames into DRAM
-  cam.target_bps = 1.9e9;
+  cam.target_bps = kCameraLineBps;
   cam.seed = 1;
   chip.add_traffic_gen(0, cam);
 
@@ -138,8 +139,15 @@ int main() {
   print("no QoS:", off);
   print("with QoS:", on);
   std::printf(
-      "\nWith reservations the camera holds its line rate and the filter "
-      "meets its deadline,\nwhile the CNN keeps the slack bandwidth the "
-      "reclamation loop hands back.\n");
+      "\nWith reservations the camera gets %.1f%% of its line rate (%.1f%% "
+      "without)\nand the filter misses %.1f%% of its deadlines (%.1f%% "
+      "without).\n",
+      100.0 * on.camera_bps / kCameraLineBps,
+      100.0 * off.camera_bps / kCameraLineBps, on.filter_deadline_miss_pct,
+      off.filter_deadline_miss_pct);
+  if (on.camera_bps < kCameraLineBps) {
+    std::printf("The camera does not hold its line rate: it falls %s short.\n",
+                util::format_bandwidth(kCameraLineBps - on.camera_bps).c_str());
+  }
   return 0;
 }

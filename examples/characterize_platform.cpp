@@ -10,7 +10,7 @@
 /// for QosManager (the experiments use ~11 GB/s, measured here).
 #include <cstdio>
 
-#include "soc/soc.hpp"
+#include "scenario/scenario.hpp"
 #include "util/csv.hpp"
 #include "util/string_util.hpp"
 #include "workload/cpu_workloads.hpp"
@@ -25,19 +25,20 @@ struct Meas {
   double hit_rate;
 };
 
+/// The platform without QoS blocks, with \p gens generators of \p pattern
+/// (one per HP port, seeds from \p base_seed).
+scenario::Spec unregulated(std::size_t gens, wl::Pattern pattern,
+                           std::uint64_t base_seed) {
+  scenario::Spec spec;
+  spec.platform.qos_blocks = false;
+  spec.aggressors = scenario::standard_aggressors(gens, pattern, base_seed);
+  return spec;
+}
+
 Meas run_pattern(wl::Pattern pattern, std::size_t gens) {
-  soc::SocConfig cfg;
-  cfg.qos_blocks = false;
-  soc::Soc chip(cfg);
-  for (std::size_t i = 0; i < gens; ++i) {
-    wl::TrafficGenConfig tg;
-    tg.name = "g";
-    tg.name += std::to_string(i);
-    tg.pattern = pattern;
-    tg.base = 0x8000'0000 + (static_cast<axi::Addr>(i) << 26);
-    tg.seed = 60 + i;
-    chip.add_traffic_gen(i, tg);
-  }
+  scenario::Scenario s =
+      scenario::build(unregulated(gens, pattern, 60), {}, 1);
+  soc::Soc& chip = *s.chip;
   chip.run_for(5 * sim::kPsPerMs);
   Meas m;
   m.gbps = chip.dram_bandwidth_bps() / 1e9;
@@ -78,24 +79,18 @@ int main() {
 
   // CPU latency, idle and loaded.
   auto cpu_latency = [](std::size_t gens) {
-    soc::SocConfig c;
-    c.qos_blocks = false;
-    soc::Soc chip(c);
-    wl::PointerChaseConfig pc;
-    pc.accesses_per_iteration = 4096;
-    cpu::CoreConfig cc;
-    cc.max_iterations = 4;
-    chip.add_core(cc, wl::make_pointer_chase(pc));
-    for (std::size_t i = 0; i < gens; ++i) {
-      wl::TrafficGenConfig tg;
-      tg.name = "g";
-      tg.name += std::to_string(i);
-      tg.base = 0x8000'0000 + (static_cast<axi::Addr>(i) << 26);
-      tg.seed = 80 + i;
-      chip.add_traffic_gen(i, tg);
-    }
-    chip.run_until_cores_finished(400 * sim::kPsPerMs);
-    const auto& h = chip.cpu_port().stats().read_latency;
+    scenario::Spec spec = unregulated(gens, wl::Pattern::kSeqRead, 80);
+    scenario::Critical critical;
+    critical.core.max_iterations = 4;
+    critical.kernel = [] {
+      wl::PointerChaseConfig pc;
+      pc.accesses_per_iteration = 4096;
+      return wl::make_pointer_chase(pc);
+    };
+    spec.critical = critical;
+    scenario::Scenario s = scenario::build(spec, {}, 1);
+    s.chip->run_until_cores_finished(400 * sim::kPsPerMs);
+    const auto& h = s.chip->cpu_port().stats().read_latency;
     return std::pair<double, double>(h.mean(), static_cast<double>(h.p99()));
   };
   const auto [idle_mean, idle_p99] = cpu_latency(0);

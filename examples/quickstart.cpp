@@ -1,15 +1,14 @@
 /// \file quickstart.cpp
 /// \brief Minimal end-to-end tour of the library.
 ///
-/// Builds the default Zynq-US+-like platform, runs a latency-critical CPU
-/// task against three saturating FPGA accelerators, then turns on the
-/// tightly-coupled hardware regulators and shows the critical task's
-/// latency recovering while the accelerators keep most of their bandwidth.
+/// Describes the default Zynq-US+-like platform as a scenario::Spec, runs a
+/// latency-critical CPU task against three saturating FPGA accelerators,
+/// then turns on the tightly-coupled hardware regulators (400 MB/s per port
+/// in 1 us windows) and shows the critical task's latency recovering while
+/// the accelerators keep most of their bandwidth.
 #include <cstdio>
 
-#include "qos/regfile.hpp"
-#include "soc/soc.hpp"
-#include "util/string_util.hpp"
+#include "scenario/scenario.hpp"
 #include "workload/cpu_workloads.hpp"
 
 using namespace fgqos;
@@ -23,52 +22,34 @@ struct RunResult {
   double accel_total_gbps;
 };
 
-RunResult run_scenario(bool regulate) {
-  soc::SocConfig cfg;
-  soc::Soc chip(cfg);
-
+RunResult run_scenario(std::size_t dma_masters, scenario::Scheme scheme) {
+  scenario::Spec spec;
   // Latency-critical task on core 0: dependent random loads over 16 MiB.
-  wl::PointerChaseConfig pc;
-  pc.accesses_per_iteration = 2048;
-  cpu::CoreConfig core_cfg;
-  core_cfg.name = "critical";
-  core_cfg.max_iterations = 20;
-  chip.add_core(core_cfg, wl::make_pointer_chase(pc));
+  scenario::Critical critical;
+  critical.core.name = "critical";
+  critical.core.max_iterations = 20;
+  critical.kernel = [] {
+    wl::PointerChaseConfig pc;
+    pc.accesses_per_iteration = 2048;
+    return wl::make_pointer_chase(pc);
+  };
+  spec.critical = critical;
+  // DMA engines hammering memory with sequential reads, one per HP port.
+  spec.aggressors =
+      scenario::standard_aggressors(dma_masters, wl::Pattern::kSeqRead, 100);
+  spec.scheme = scheme;
+  spec.regulated_ports = scenario::first_ports(dma_masters);
 
-  // Three DMA engines hammering memory with sequential reads.
-  for (std::size_t i = 0; i < 3; ++i) {
-    wl::TrafficGenConfig tg;
-    tg.name = "dma" + std::to_string(i);
-    tg.base = 0x8000'0000 + (static_cast<axi::Addr>(i) << 26);
-    tg.seed = 100 + i;
-    chip.add_traffic_gen(i, tg);
-  }
+  scenario::Scenario s = scenario::build(spec, {}, 1);
+  s.chip->run_until_cores_finished(50 * sim::kPsPerMs);
 
-  if (regulate) {
-    // Program each accelerator's QoS block through its register file, as
-    // the host driver would: 400 MB/s each in 1 us windows.
-    for (std::size_t i = 0; i < 3; ++i) {
-      qos::QosRegFile& rf = chip.regfile(1 + i);
-      rf.write(qos::Reg::kWindowNs, 1000);
-      rf.write(qos::Reg::kBudget, 400);  // 400 B/us = 400 MB/s
-      rf.write(qos::Reg::kCtrl, 1);
-    }
-  }
-
-  chip.run_until_cores_finished(50 * sim::kPsPerMs);
-
-  const auto& core = chip.cluster().core(0);
-  const auto& cpu_lat = chip.cpu_port().stats().read_latency;
-  double accel_bps = 0.0;
-  for (std::size_t i = 0; i < 3; ++i) {
-    accel_bps += sim::bytes_per_second(
-        chip.accel_port(i).stats().bytes_granted.value(), chip.now());
-  }
+  const auto& iter = s.critical->stats().iteration_ps;
   return RunResult{
-      core.stats().iteration_ps.mean() / 1e9,
-      static_cast<double>(core.stats().iteration_ps.p99()) / 1e9,
-      static_cast<double>(cpu_lat.p99()) / 1e6,
-      accel_bps / 1e9,
+      iter.mean() / 1e9,
+      static_cast<double>(iter.p99()) / 1e9,
+      static_cast<double>(s.chip->cpu_port().stats().read_latency.p99()) /
+          1e6,
+      s.aggressor_bps() / 1e9,
   };
 }
 
@@ -76,25 +57,9 @@ RunResult run_scenario(bool regulate) {
 
 int main() {
   std::printf("fgqos quickstart: critical CPU task vs. 3 DMA masters\n\n");
-  const RunResult solo = [] {
-    soc::SocConfig cfg;
-    soc::Soc chip(cfg);
-    wl::PointerChaseConfig pc;
-    pc.accesses_per_iteration = 2048;
-    cpu::CoreConfig core_cfg;
-    core_cfg.name = "critical";
-    core_cfg.max_iterations = 20;
-    chip.add_core(core_cfg, wl::make_pointer_chase(pc));
-    chip.run_until_cores_finished(50 * sim::kPsPerMs);
-    const auto& core = chip.cluster().core(0);
-    return RunResult{core.stats().iteration_ps.mean() / 1e9,
-                     static_cast<double>(core.stats().iteration_ps.p99()) / 1e9,
-                     static_cast<double>(
-                         chip.cpu_port().stats().read_latency.p99()) / 1e6,
-                     0.0};
-  }();
-  const RunResult noisy = run_scenario(/*regulate=*/false);
-  const RunResult guarded = run_scenario(/*regulate=*/true);
+  const RunResult solo = run_scenario(0, scenario::Scheme::kNone);
+  const RunResult noisy = run_scenario(3, scenario::Scheme::kNone);
+  const RunResult guarded = run_scenario(3, scenario::Scheme::kHw);
 
   std::printf("%-22s %12s %12s %14s %12s\n", "scenario", "iter mean", "iter p99",
               "read p99 (us)", "DMA GB/s");

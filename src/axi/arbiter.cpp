@@ -48,50 +48,4 @@ int FixedPriorityArbiter::pick(const std::vector<bool>& eligible,
   return best;
 }
 
-WeightedRRArbiter::WeightedRRArbiter(std::vector<std::uint32_t> weights)
-    : weights_(std::move(weights)), credit_(weights_.size(), 0) {
-  config_check(!weights_.empty(), "WeightedRRArbiter: empty weight set");
-  for (auto w : weights_) {
-    config_check(w > 0, "WeightedRRArbiter: weights must be positive");
-  }
-}
-
-int WeightedRRArbiter::pick(const std::vector<bool>& eligible,
-                            sim::TimePs /*now*/) {
-  config_check(eligible.size() == weights_.size(),
-               "WeightedRRArbiter: master count mismatch");
-  const std::size_t n = eligible.size();
-  bool any = false;
-  for (std::size_t i = 0; i < n; ++i) {
-    any = any || eligible[i];
-  }
-  if (!any) {
-    return -1;
-  }
-  // Deficit scheme: every arbitration adds each eligible master its
-  // weight; the winner pays back exactly the credit added this round, so
-  // the books balance and long-run grant shares follow the weight ratios
-  // of whatever subset is competing.
-  std::int64_t best_credit = INT64_MIN;
-  std::int64_t round_sum = 0;
-  int best = -1;
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::size_t i = (rr_next_ + k) % n;
-    if (!eligible[i]) {
-      continue;
-    }
-    credit_[i] += weights_[i];
-    round_sum += weights_[i];
-    if (credit_[i] > best_credit) {
-      best_credit = credit_[i];
-      best = static_cast<int>(i);
-    }
-  }
-  if (best >= 0) {
-    credit_[static_cast<std::size_t>(best)] -= round_sum;
-    rr_next_ = (static_cast<std::size_t>(best) + 1) % n;
-  }
-  return best;
-}
-
 }  // namespace fgqos::axi

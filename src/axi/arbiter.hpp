@@ -1,5 +1,5 @@
 /// \file arbiter.hpp
-/// \brief Grant arbiters for the interconnect: RR, priority, weighted RR.
+/// \brief Grant arbiters for the interconnect: round robin and fixed priority.
 #pragma once
 
 #include <cstdint>
@@ -42,21 +42,6 @@ class FixedPriorityArbiter final : public Arbiter {
 
  private:
   std::vector<int> priority_;
-  std::size_t rr_next_ = 0;
-};
-
-/// Deficit-weighted round robin: long-run grant shares proportional to
-/// weights while staying work-conserving.
-class WeightedRRArbiter final : public Arbiter {
- public:
-  /// \param weights one positive weight per master id.
-  explicit WeightedRRArbiter(std::vector<std::uint32_t> weights);
-  int pick(const std::vector<bool>& eligible, sim::TimePs now) override;
-  [[nodiscard]] const char* policy_name() const override { return "wrr"; }
-
- private:
-  std::vector<std::uint32_t> weights_;
-  std::vector<std::int64_t> credit_;
   std::size_t rr_next_ = 0;
 };
 

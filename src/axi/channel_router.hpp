@@ -25,7 +25,6 @@ class ChannelRouter final : public SlaveIf {
   ///        and at least the line size in use.
   ChannelRouter(std::vector<SlaveIf*> channels, std::uint64_t stride_bytes);
 
-  [[nodiscard]] std::size_t channel_count() const { return channels_.size(); }
   [[nodiscard]] std::uint64_t stride_bytes() const { return stride_; }
 
   /// Channel index for an address (exposed for tests and stats).

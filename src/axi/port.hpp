@@ -129,8 +129,6 @@ class MasterPort {
   /// Attaches an observer.
   void add_observer(TxnObserver& obs) { observers_.push_back(&obs); }
 
-  [[nodiscard]] std::size_t outstanding_reads() const { return out_reads_; }
-  [[nodiscard]] std::size_t outstanding_writes() const { return out_writes_; }
   [[nodiscard]] const PortStats& stats() const { return stats_; }
   PortStats& stats() { return stats_; }
 

@@ -18,18 +18,6 @@ enum class Resp : std::uint8_t {
   kDecerr = 2, ///< decode error (no slave claimed the address)
 };
 
-[[nodiscard]] constexpr const char* resp_name(Resp r) {
-  switch (r) {
-    case Resp::kOkay:
-      return "okay";
-    case Resp::kSlverr:
-      return "slverr";
-    case Resp::kDecerr:
-      return "decerr";
-  }
-  return "?";
-}
-
 /// One AXI burst as issued by a master. The interconnect splits it into
 /// line-sized LineRequests for the memory controller; the transaction
 /// completes when the last line completes (plus response latency).

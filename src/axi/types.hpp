@@ -23,9 +23,4 @@ using QosValue = std::uint8_t;
 inline constexpr QosValue kQosBestEffort = 0;
 inline constexpr QosValue kQosCritical = 15;
 
-/// Returns "R" or "W" for logs and stats names.
-constexpr const char* dir_name(Dir d) {
-  return d == Dir::kRead ? "R" : "W";
-}
-
 }  // namespace fgqos::axi

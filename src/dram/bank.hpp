@@ -17,7 +17,6 @@ class Bank {
   using Cycle = std::uint64_t;
 
   [[nodiscard]] bool row_open() const { return open_row_.has_value(); }
-  [[nodiscard]] std::uint64_t open_row() const { return *open_row_; }
   [[nodiscard]] bool row_hit(std::uint64_t row) const {
     return open_row_ == row;
   }

@@ -141,7 +141,6 @@ class Controller final : public sim::Clocked, public axi::SlaveIf {
   [[nodiscard]] std::size_t write_queue_size() const {
     return queues_[1].size;
   }
-  [[nodiscard]] bool draining_writes() const { return draining_writes_; }
 
   /// Attaches the Chrome-trace sink (nullptr detaches). Each CAS data
   /// burst becomes a duration event ("rd"/"wr") and the queue occupancies

@@ -43,7 +43,6 @@ void BandwidthMonitor::on_boundary(std::uint64_t epoch) {
   if (freeze_fault_ && freeze_fault_(sim_.now())) {
     // Frozen sample register: the boundary passes without publishing.
     // The cadence continues so the fault can thaw at a later boundary.
-    ++frozen_boundaries_;
     window_start_ = sim_.now();
     schedule_boundary();
     return;
@@ -72,14 +71,6 @@ void BandwidthMonitor::set_window(sim::TimePs window_ps) {
     threshold_fired_ = false;
   }
   schedule_boundary();
-}
-
-double BandwidthMonitor::mean_bandwidth_bps(sim::TimePs since_ps) const {
-  const sim::TimePs now = sim_.now();
-  if (now <= since_ps) {
-    return 0.0;
-  }
-  return sim::bytes_per_second(total_bytes_, now - since_ps);
 }
 
 void BandwidthMonitor::reset_totals() {

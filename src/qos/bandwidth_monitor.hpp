@@ -66,8 +66,6 @@ class BandwidthMonitor final : public axi::TxnObserver {
   [[nodiscard]] std::uint64_t windows_closed() const {
     return windows_closed_;
   }
-  /// Mean bandwidth since \p since_ps (bytes/second).
-  [[nodiscard]] double mean_bandwidth_bps(sim::TimePs since_ps = 0) const;
 
   /// Per-window trace (only populated when keep_window_trace).
   [[nodiscard]] const std::vector<std::uint64_t>& window_trace() const {
@@ -97,10 +95,6 @@ class BandwidthMonitor final : public axi::TxnObserver {
     saturation_fault_ = std::move(fn);
   }
 
-  /// Boundaries skipped by an injected freeze fault.
-  [[nodiscard]] std::uint64_t frozen_boundaries() const {
-    return frozen_boundaries_;
-  }
   /// Grants clamped by an injected saturation fault.
   [[nodiscard]] std::uint64_t saturated_grants() const {
     return saturated_grants_;
@@ -129,7 +123,6 @@ class BandwidthMonitor final : public axi::TxnObserver {
   std::uint64_t epoch_ = 0;  ///< invalidates boundary events on set_window
   FreezeFaultFn freeze_fault_;
   SaturationFaultFn saturation_fault_;
-  std::uint64_t frozen_boundaries_ = 0;
   std::uint64_t saturated_grants_ = 0;
   sim::TimePs window_start_ = 0;
   sim::EventQueue::RecurringId boundary_event_ = 0;

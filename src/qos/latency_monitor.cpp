@@ -7,8 +7,6 @@ namespace fgqos::qos {
 LatencyMonitor::LatencyMonitor(sim::Simulator& sim, LatencyMonitorConfig cfg)
     : sim_(sim), cfg_(std::move(cfg)) {
   config_check(cfg_.window_ps > 0, "LatencyMonitor: window must be > 0");
-  config_check(cfg_.track_reads || cfg_.track_writes,
-               "LatencyMonitor: must track at least one direction");
   boundary_event_ = sim_.make_recurring_event(
       [this](std::uint64_t epoch) { on_boundary(epoch); },
       sim_.profile_tag("qos.latency_monitor"));
@@ -46,8 +44,7 @@ void LatencyMonitor::set_threshold(sim::TimePs latency_ps,
 
 void LatencyMonitor::on_complete(const axi::Transaction& txn,
                                  sim::TimePs now) {
-  const bool is_write = txn.dir == axi::Dir::kWrite;
-  if (is_write ? !cfg_.track_writes : !cfg_.track_reads) {
+  if (txn.dir == axi::Dir::kWrite) {
     return;
   }
   const sim::TimePs lat = txn.latency();

@@ -1,12 +1,13 @@
 /// \file latency_monitor.hpp
 /// \brief Tightly-coupled per-port transaction-latency monitor.
 ///
-/// Complements the bandwidth monitor: tracks each outstanding transaction
-/// from issue to completion and maintains a windowed latency summary
-/// (max and running mean per window, full histogram overall). A
-/// programmable threshold fires in the same event that completes the
-/// offending transaction — the hardware analogue is a comparator on the
-/// in-flight timer. Used by the closed-loop AdaptiveQosController.
+/// Complements the bandwidth monitor: tracks each read transaction from
+/// issue to completion (writes are ignored) and maintains a windowed
+/// latency summary (max and running mean per window, full histogram
+/// overall). A programmable threshold fires in the same event that
+/// completes the offending transaction — the hardware analogue is a
+/// comparator on the in-flight timer. Used by the closed-loop
+/// AdaptiveQosController.
 #pragma once
 
 #include <cstdint>
@@ -25,9 +26,6 @@ struct LatencyMonitorConfig {
   std::string name = "lat_monitor";
   /// Summary window; per-window max/mean reset at each boundary.
   sim::TimePs window_ps = 100 * sim::kPsPerUs;
-  /// Track reads, writes or both.
-  bool track_reads = true;
-  bool track_writes = false;
 };
 
 /// Fired when a completing transaction's latency crosses the threshold
@@ -54,8 +52,6 @@ class LatencyMonitor final : public axi::TxnObserver {
   [[nodiscard]] double last_window_mean_ps() const {
     return last_window_mean_;
   }
-  /// Completions observed in the currently open window.
-  [[nodiscard]] std::uint64_t window_count() const { return window_count_; }
 
   // TxnObserver
   void on_issue(const axi::Transaction&, sim::TimePs) override {}

@@ -242,7 +242,6 @@ void QosManager::reclaim_tick(std::uint64_t epoch) {
   //    monitor registers (as the real driver does).
   double slack_bps = std::max(0.0, cfg_.capacity_bps - reserved_total_bps());
   std::vector<ManagedPort*> best_effort;
-  std::vector<double> demand;
   for (auto& p : ports_) {
     const std::uint64_t total = p.regfile->monitor_total_bytes();
     const std::uint64_t last = last_total_bytes_.count(p.master)
@@ -253,7 +252,6 @@ void QosManager::reclaim_tick(std::uint64_t epoch) {
         sim::bytes_per_second(total - last, cfg_.reclaim_period_ps);
     if (p.best_effort) {
       best_effort.push_back(&p);
-      demand.push_back(used_bps);
       continue;
     }
     if (used_bps < p.reserved_bps * cfg_.idle_threshold) {
@@ -263,25 +261,13 @@ void QosManager::reclaim_tick(std::uint64_t epoch) {
       slack_bps += p.reserved_bps - used_bps;
     }
   }
-  // 2. Redistribute slack across the best-effort ports.
+  // 2. Split the slack evenly across the best-effort ports.
   if (!best_effort.empty()) {
-    const auto n = static_cast<double>(best_effort.size());
-    double demand_total = 0;
-    for (const double d : demand) {
-      demand_total += d;
-    }
-    for (std::size_t i = 0; i < best_effort.size(); ++i) {
-      double share = slack_bps / n;
-      if (cfg_.reclaim_policy == ReclaimPolicy::kProportional &&
-          demand_total > 0) {
-        // A saturated port consumes exactly what it was programmed, so
-        // last-period demand is a good proxy for appetite; hold back a
-        // small even-split fraction so a newly-hungry port can ramp.
-        share = 0.2 * slack_bps / n +
-                0.8 * slack_bps * (demand[i] / demand_total);
-      }
-      program_rate(*best_effort[i],
-                   std::max(cfg_.best_effort_floor_bps, share));
+    const double share = std::max(
+        cfg_.best_effort_floor_bps,
+        slack_bps / static_cast<double>(best_effort.size()));
+    for (ManagedPort* p : best_effort) {
+      program_rate(*p, share);
     }
   }
   // 3. Reserved ports always keep their full guarantee programmed.

@@ -36,12 +36,6 @@ namespace fgqos::qos {
 
 struct CertifiedEnvelope;
 
-/// How reclaimed slack is split across best-effort ports.
-enum class ReclaimPolicy : std::uint8_t {
-  kEven,          ///< equal share per best-effort port
-  kProportional,  ///< proportional to each port's measured demand
-};
-
 /// Manager configuration.
 struct QosManagerConfig {
   /// Platform memory bandwidth the manager may hand out (bytes/second);
@@ -56,8 +50,6 @@ struct QosManagerConfig {
   double idle_threshold = 0.5;
   /// Floor rate handed to best-effort ports when all slack is in use.
   double best_effort_floor_bps = 50e6;
-  /// Slack distribution policy.
-  ReclaimPolicy reclaim_policy = ReclaimPolicy::kEven;
 };
 
 /// One port under management.

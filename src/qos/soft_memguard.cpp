@@ -41,15 +41,13 @@ void SoftMemguard::set_budget(axi::MasterId master, std::uint64_t budget_bytes) 
   ensure(master);
   MasterState& st = masters_[master];
   st.budget = budget_bytes;
-  st.quota = budget_bytes;
-  st.last_usage = budget_bytes;  // optimistic first period
   // Mid-period reprogramming must re-evaluate the throttle state against
-  // the new quota. Leaving stalled/overflow_pending untouched either keeps
+  // the new budget. Leaving stalled/overflow_pending untouched either keeps
   // a master parked under a budget it no longer exceeds, or lets a
   // previously-scheduled deliver_stall land on a master whose overflow was
   // cancelled by the reconfiguration.
   const sim::TimePs now = sim_.now();
-  if (budget_bytes == 0 || st.bytes <= st.quota) {
+  if (budget_bytes == 0 || st.bytes <= st.budget) {
     st.overflow_pending = false;  // in-flight ISRs see this and back off
     if (st.stalled) {
       st.stats.throttled_ps += now - st.stalled_since;
@@ -63,13 +61,11 @@ void SoftMemguard::set_budget(axi::MasterId master, std::uint64_t budget_bytes) 
     // violation accounting starts with grants made while the IRQ is in
     // flight (handled in on_grant).
     st.overflow_pending = true;
-    if (cfg_.use_overflow_irq) {
-      const std::uint64_t period = period_index_;
-      sim_.schedule_at(
-          now + cfg_.isr_latency_ps,
-          [this, master, period]() { deliver_stall(master, period, 0, true); },
-          prof_tag_);
-    }
+    const std::uint64_t period = period_index_;
+    sim_.schedule_at(
+        now + cfg_.isr_latency_ps,
+        [this, master, period]() { deliver_stall(master, period, 0, true); },
+        prof_tag_);
   }
   reopened();
 }
@@ -142,16 +138,7 @@ void SoftMemguard::on_grant(const axi::LineRequest& line, sim::TimePs now) {
   if (st.budget == 0) {
     return;
   }
-  if (cfg_.reclaim_enabled && st.bytes > st.quota && pool_ > 0 &&
-      !st.overflow_pending && !st.stalled) {
-    // MemGuard reclaim: draw a chunk of donated budget before resorting
-    // to the overflow interrupt.
-    const std::uint64_t draw = std::min(cfg_.reclaim_chunk_bytes, pool_);
-    pool_ -= draw;
-    st.quota += draw;
-    reclaimed_total_ += draw;
-  }
-  if (st.bytes > st.quota) {
+  if (st.bytes > st.budget) {
     if (st.overflow_pending || st.stalled) {
       // Interrupt already in flight: everything granted from the overflow
       // until the stall lands is a guarantee violation.
@@ -161,17 +148,12 @@ void SoftMemguard::on_grant(const axi::LineRequest& line, sim::TimePs now) {
       return;
     }
     st.overflow_pending = true;
-    st.stats.violation_bytes += st.bytes - st.quota;
-    if (cfg_.use_overflow_irq) {
-      const std::uint64_t period = period_index_;
-      sim_.schedule_at(
-          now + cfg_.isr_latency_ps,
-          [this, m, period]() { deliver_stall(m, period, 0, true); },
-          prof_tag_);
-    }
-    // Without the overflow IRQ the master keeps running until the period
-    // boundary; every grant above budget counts as violation (handled by
-    // the branch above on subsequent grants).
+    st.stats.violation_bytes += st.bytes - st.budget;
+    const std::uint64_t period = period_index_;
+    sim_.schedule_at(
+        now + cfg_.isr_latency_ps,
+        [this, m, period]() { deliver_stall(m, period, 0, true); },
+        prof_tag_);
   }
 }
 
@@ -242,7 +224,7 @@ void SoftMemguard::deliver_stall(axi::MasterId m, std::uint64_t period,
                      "overflow_irq",
                      master_detail(m, attempt) +
                          " period_bytes=" + std::to_string(st.bytes) +
-                         " quota=" + std::to_string(st.quota));
+                         " quota=" + std::to_string(st.budget));
   }
   if (trace_ != nullptr) {
     char name[32];
@@ -259,7 +241,6 @@ void SoftMemguard::deliver_stall(axi::MasterId m, std::uint64_t period,
 
 void SoftMemguard::on_period_tick() {
   const sim::TimePs now = sim_.now();
-  pool_ = 0;
   for (axi::MasterId m = 0; m < masters_.size(); ++m) {
     MasterState& st = masters_[m];
     if (st.stalled) {
@@ -273,17 +254,7 @@ void SoftMemguard::on_period_tick() {
       }
     }
     st.overflow_pending = false;
-    st.last_usage = st.bytes;
     st.bytes = 0;
-    if (cfg_.reclaim_enabled && st.budget > 0) {
-      // Predictive donation: quota = min(budget, last usage + one chunk);
-      // the difference seeds the shared pool.
-      st.quota = std::min(st.budget,
-                          st.last_usage + cfg_.reclaim_chunk_bytes);
-      pool_ += st.budget - st.quota;
-    } else {
-      st.quota = st.budget;
-    }
   }
   ++period_index_;
   sim_.schedule_recurring(period_event_, now + cfg_.period_ps);

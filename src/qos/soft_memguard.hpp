@@ -38,17 +38,6 @@ struct SoftMemguardConfig {
   sim::TimePs period_ps = sim::kPsPerMs;
   /// Interrupt delivery + ISR entry + throttle actuation latency.
   sim::TimePs isr_latency_ps = 3 * sim::kPsPerUs;
-  /// When false, overflow interrupts are disabled and over-budget masters
-  /// are only caught at the next period boundary (pure polling; even
-  /// coarser behaviour).
-  bool use_overflow_irq = true;
-  /// MemGuard's predictive reclaim: masters predicted (from last period's
-  /// usage) to under-consume donate the difference to a global pool; a
-  /// master that hits its quota draws chunks from the pool before being
-  /// stalled.
-  bool reclaim_enabled = false;
-  /// Pool draw granularity.
-  std::uint64_t reclaim_chunk_bytes = 16 * 1024;
   /// IRQ-loss hardening: when an overflow IRQ is detected as lost (the
   /// fault seam dropped it), re-deliver with exponential backoff
   /// (isr_latency * 2^attempt, capped by irq_max_retries) instead of
@@ -91,12 +80,6 @@ class SoftMemguard final : public axi::TxnGate {
   /// Bytes counted for \p master in the current period.
   [[nodiscard]] std::uint64_t period_bytes(axi::MasterId master) const;
   [[nodiscard]] bool stalled(axi::MasterId master) const;
-  /// Bytes left in the reclaim pool this period.
-  [[nodiscard]] std::uint64_t reclaim_pool_bytes() const { return pool_; }
-  /// Total bytes served out of the reclaim pool since construction.
-  [[nodiscard]] std::uint64_t reclaimed_total_bytes() const {
-    return reclaimed_total_;
-  }
 
   /// Attaches the decision journal (nullptr detaches): stall deliveries,
   /// period releases of parked masters, and IRQ drops/delays/retries/losses
@@ -129,11 +112,8 @@ class SoftMemguard final : public axi::TxnGate {
 
  private:
   struct MasterState {
-    std::uint64_t budget = 0;       ///< 0 = unregulated
-    std::uint64_t quota = 0;        ///< this period's allowance (with
-                                    ///< reclaim: budget +/- donations)
+    std::uint64_t budget = 0;       ///< per-period allowance, 0 = unregulated
     std::uint64_t bytes = 0;        ///< counted this period
-    std::uint64_t last_usage = 0;   ///< previous period (prediction)
     bool overflow_pending = false;  ///< IRQ in flight
     bool stalled = false;
     sim::TimePs stalled_since = 0;
@@ -157,8 +137,6 @@ class SoftMemguard final : public axi::TxnGate {
   sim::EventQueue::RecurringId period_event_ = 0;
   std::uint32_t prof_tag_ = 0;  ///< host-profiler attribution tag
   std::uint64_t period_index_ = 0;
-  std::uint64_t pool_ = 0;
-  std::uint64_t reclaimed_total_ = 0;
   IrqFaultFn irq_fault_;
   SoftMemguardIrqStats irq_stats_;
   telemetry::TraceWriter* trace_ = nullptr;

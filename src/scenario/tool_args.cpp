@@ -63,7 +63,7 @@ ToolArgs parse_tool_args(const util::ArgParser& args,
   t.aggressors = args.get_count("aggressors", default_aggressors);
   t.budget_mbps = args.get_double("budget-mbps", 400);
   t.window_us = args.get_positive("window-us", 1);
-  t.seed = static_cast<std::uint64_t>(args.get_int("seed", 100));
+  t.seed = args.get_count("seed", 100);
   t.mapping = args.get("mapping", "");
   if (!t.mapping.empty()) {
     // Fail fast on a bad name, before any scenario is built.

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "util/config_error.hpp"
-
 namespace fgqos::search {
 namespace {
 
@@ -64,22 +62,14 @@ std::vector<AttackConfig> CoordinateDescent::propose() {
 
 void CoordinateDescent::observe(const std::vector<double>& scores) {
   if (done_ || scores.size() != batch_.size()) return;
-  auto track_best = [this](const AttackConfig& c, double s) {
-    if (s > best_score_) {
-      best_score_ = s;
-      best_ = c;
-    }
-  };
   if (need_init_) {
     need_init_ = false;
     current_score_ = scores.at(0);
-    track_best(current_, current_score_);
     return;
   }
   std::size_t best_i = batch_.size();
   double best_s = current_score_;
   for (std::size_t i = 0; i < batch_.size(); ++i) {
-    track_best(batch_[i], scores[i]);
     if (scores[i] > best_s) {
       best_s = scores[i];
       best_i = i;
@@ -171,28 +161,7 @@ void MuLambdaES::observe(const std::vector<double>& scores) {
   for (std::size_t i = 0; i < order.size() && parents_.size() < mu_; ++i) {
     parents_.push_back(batch_[order[i]]);
   }
-  if (!order.empty() && scores[order[0]] > best_score_) {
-    best_score_ = scores[order[0]];
-    best_ = batch_[order[0]];
-  }
   ++generation_;
-}
-
-// --- factory ---------------------------------------------------------------
-
-std::unique_ptr<Optimizer> make_optimizer(const std::string& name,
-                                          std::uint64_t seed,
-                                          std::size_t restarts, std::size_t mu,
-                                          std::size_t lambda,
-                                          std::size_t generations) {
-  if (name == "coord") {
-    return std::make_unique<CoordinateDescent>(seed, restarts);
-  }
-  if (name == "es") {
-    return std::make_unique<MuLambdaES>(seed, mu, lambda, generations);
-  }
-  throw ConfigError("unknown optimizer \"" + name +
-                          "\" (want coord | es | both)");
 }
 
 }  // namespace fgqos::search

@@ -11,8 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -50,9 +48,6 @@ class CoordinateDescent final : public Optimizer {
   void observe(const std::vector<double>& scores) override;
   [[nodiscard]] const char* name() const override { return "coord"; }
 
-  [[nodiscard]] AttackConfig best_config() const { return best_; }
-  [[nodiscard]] double best_score() const { return best_score_; }
-
  private:
   [[nodiscard]] AttackConfig random_config();
   void start_restart();
@@ -64,8 +59,6 @@ class CoordinateDescent final : public Optimizer {
   AttackConfig current_{};
   double current_score_ = 0.0;
   std::vector<AttackConfig> batch_;
-  AttackConfig best_{};
-  double best_score_ = -1.0;
   bool done_ = false;
 };
 
@@ -88,9 +81,6 @@ class MuLambdaES final : public Optimizer {
   void observe(const std::vector<double>& scores) override;
   [[nodiscard]] const char* name() const override { return "es"; }
 
-  [[nodiscard]] AttackConfig best_config() const { return best_; }
-  [[nodiscard]] double best_score() const { return best_score_; }
-
  private:
   [[nodiscard]] AttackConfig random_config();
   [[nodiscard]] AttackConfig mutate(const AttackConfig& parent);
@@ -102,14 +92,6 @@ class MuLambdaES final : public Optimizer {
   std::size_t generation_ = 0;
   std::vector<AttackConfig> parents_;
   std::vector<AttackConfig> batch_;
-  AttackConfig best_{};
-  double best_score_ = -1.0;
 };
-
-/// Builds the named optimizer ("coord" | "es"); the "both" pipeline is
-/// assembled by the search driver. Throws ConfigError on unknown names.
-[[nodiscard]] std::unique_ptr<Optimizer> make_optimizer(
-    const std::string& name, std::uint64_t seed, std::size_t restarts,
-    std::size_t mu, std::size_t lambda, std::size_t generations);
 
 }  // namespace fgqos::search

@@ -21,9 +21,6 @@ class ClockDomain {
 
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] TimePs period_ps() const { return period_ps_; }
-  [[nodiscard]] double freq_hz() const {
-    return 1e12 / static_cast<double>(period_ps_);
-  }
 
   /// Time of the given edge number.
   [[nodiscard]] TimePs edge_time(Cycles edge) const {
@@ -42,9 +39,6 @@ class ClockDomain {
   [[nodiscard]] Cycles edge_index_at_or_after(TimePs t) const {
     return (t + period_ps_ - 1) / period_ps_;
   }
-
-  /// Duration of \p n cycles in ps.
-  [[nodiscard]] TimePs cycles_to_ps(Cycles n) const { return n * period_ps_; }
 
   /// Smallest cycle count whose duration is >= \p ps.
   [[nodiscard]] Cycles ps_to_cycles_ceil(TimePs ps) const {

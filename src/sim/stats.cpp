@@ -34,17 +34,6 @@ std::uint64_t WindowedBytes::max_window_bytes() const {
   return *std::max_element(samples_.begin(), samples_.end());
 }
 
-double WindowedBytes::mean_window_bytes() const {
-  if (samples_.empty()) {
-    return 0.0;
-  }
-  std::uint64_t sum = 0;
-  for (auto s : samples_) {
-    sum += s;
-  }
-  return static_cast<double>(sum) / static_cast<double>(samples_.size());
-}
-
 void StatsRegistry::set(const std::string& name, double value) {
   values_[name] = value;
 }

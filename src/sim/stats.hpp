@@ -46,8 +46,6 @@ class WindowedBytes {
   [[nodiscard]] std::uint64_t total_bytes() const { return total_; }
   /// Largest closed-window byte count (0 if none closed yet).
   [[nodiscard]] std::uint64_t max_window_bytes() const;
-  /// Mean bytes per closed window.
-  [[nodiscard]] double mean_window_bytes() const;
 
  private:
   void close_until(TimePs now);

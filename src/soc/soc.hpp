@@ -5,7 +5,7 @@
 /// This is the main entry point of the library: construct a Soc from a
 /// SocConfig, add CPU kernels and accelerator traffic generators, program
 /// QoS through the register files (directly or via qos::QosManager), and
-/// run. See examples/quickstart.cpp.
+/// run. See examples/adas_pipeline.cpp.
 #pragma once
 
 #include <memory>

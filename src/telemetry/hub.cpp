@@ -66,15 +66,6 @@ TxnLifecycleTracer& Hub::lifecycle(axi::MasterPort& port) {
   return *lifecycles_.back();
 }
 
-bool Hub::has_lifecycle(const axi::MasterPort& port) const {
-  for (const auto* p : lifecycle_ports_) {
-    if (p == &port) {
-      return true;
-    }
-  }
-  return false;
-}
-
 void Hub::start_kernel_sampling(sim::Simulator& sim, sim::TimePs period_ps) {
   config_check(period_ps > 0, "Hub: sampling period must be > 0");
   if (kernel_sampling_) {

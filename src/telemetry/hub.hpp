@@ -48,8 +48,6 @@ class Hub {
   /// Returns the lifecycle tracer observing \p port, attaching one on
   /// first use; wires it to the trace sink when open.
   TxnLifecycleTracer& lifecycle(axi::MasterPort& port);
-  /// True when \p port already has a lifecycle tracer attached.
-  [[nodiscard]] bool has_lifecycle(const axi::MasterPort& port) const;
 
   /// Creates the interference-attribution engine with blame windows of
   /// \p window_ps (at most one per hub; throws ConfigError on a second

@@ -129,11 +129,6 @@ class HostProfiler {
   /// ConfigError when the fixed table is full (ProfTable::kMaxTags).
   std::uint32_t register_tag(std::string_view name);
 
-  [[nodiscard]] std::size_t tag_count() const { return names_.size(); }
-  [[nodiscard]] const std::string& tag_name(std::uint32_t id) const {
-    return names_.at(id);
-  }
-
   /// Hands out the next free per-thread table. Thread-safe (one atomic
   /// bump); each table must only ever be written by one thread. Throws
   /// ConfigError when kMaxTables are in use.

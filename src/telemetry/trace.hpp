@@ -150,7 +150,6 @@ class TraceWriter {
 
   void emit_prefix(TrackId t, const char ph, const char* name,
                    sim::TimePs ts);
-  void emit_suffix();
   /// pid of a category's synthetic process (stable small integers).
   [[nodiscard]] static int pid_of(Cat c) {
     return static_cast<int>(c) + 1;

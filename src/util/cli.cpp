@@ -28,8 +28,10 @@ std::size_t parse_count(const std::string& text, const std::string& flag) {
   // strtoull accepts a leading '-' and wraps; a count never has a sign.
   config_check(!text.empty() && text.find_first_of("+-") ==
                                     std::string::npos &&
-                   *end == '\0' && errno != ERANGE,
+                   *end == '\0',
                flag + " expects a non-negative integer, got '" + text + "'");
+  config_check(errno != ERANGE,
+               flag + " value out of range: '" + text + "'");
   return static_cast<std::size_t>(parsed);
 }
 
@@ -88,25 +90,6 @@ std::string ArgParser::get(const std::string& key,
   used_[key] = true;
   auto it = values_.find(key);
   return it == values_.end() ? def : it->second;
-}
-
-std::int64_t ArgParser::get_int(const std::string& key,
-                                std::int64_t def) const {
-  const std::string v = get(key);
-  if (v.empty() && !has(key)) {
-    return def;
-  }
-  if (v.empty()) {
-    return def;
-  }
-  char* end = nullptr;
-  errno = 0;
-  const long long parsed = std::strtoll(v.c_str(), &end, 0);
-  config_check(end != nullptr && *end == '\0',
-               "ArgParser: --" + key + " expects an integer, got '" + v + "'");
-  config_check(errno != ERANGE,
-               "ArgParser: --" + key + " value out of range: '" + v + "'");
-  return parsed;
 }
 
 double ArgParser::get_double(const std::string& key, double def) const {

@@ -10,7 +10,8 @@
 namespace fgqos::util {
 
 /// Parses \p text as a non-negative integer for option \p flag; throws
-/// ConfigError naming the flag and the text otherwise ("-1", "2.7", "x").
+/// ConfigError naming the flag and the text otherwise ("-1", "2.7", "x",
+/// or a value above 2^64 - 1).
 [[nodiscard]] std::size_t parse_count(const std::string& text,
                                       const std::string& flag);
 /// Parses \p text as a number for option \p flag; throws ConfigError
@@ -38,8 +39,6 @@ class ArgParser {
                                 const std::string& def = "") const;
 
   /// Typed getters; throw ConfigError when present but unparsable.
-  [[nodiscard]] std::int64_t get_int(const std::string& key,
-                                     std::int64_t def) const;
   [[nodiscard]] double get_double(const std::string& key, double def) const;
   /// A positive, finite number (parse_positive) or \p def when absent.
   [[nodiscard]] double get_positive(const std::string& key, double def) const;

@@ -29,9 +29,6 @@ class Table {
   /// header.
   void add_row(std::vector<Cell> row);
 
-  /// Number of data rows currently stored.
-  [[nodiscard]] std::size_t row_count() const { return rows_.size(); }
-
   /// Writes `header\nrow\n...` with comma separation and minimal quoting
   /// (cells containing commas or quotes are double-quoted).
   void write_csv(std::ostream& os) const;

@@ -147,9 +147,7 @@ bool TrafficGen::in_active_phase(sim::TimePs now,
     return true;
   }
   const sim::TimePs cycle_len = cfg_.active_ps + cfg_.idle_ps;
-  const sim::TimePs origin =
-      now < cfg_.start_delay_ps ? 0 : now - cfg_.start_delay_ps;
-  const sim::TimePs phase = origin % cycle_len;
+  const sim::TimePs phase = now % cycle_len;
   if (phase < cfg_.active_ps) {
     return true;
   }
@@ -159,10 +157,6 @@ bool TrafficGen::in_active_phase(sim::TimePs now,
 
 bool TrafficGen::tick(sim::Cycles /*cycle*/) {
   const sim::TimePs now = simulator().now();
-  if (now < cfg_.start_delay_ps) {
-    wake_at(cfg_.start_delay_ps);
-    return false;
-  }
   if (cfg_.max_bytes != 0 && stats_.issued_bytes >= cfg_.max_bytes) {
     return false;  // done; completions still drain via the callback
   }

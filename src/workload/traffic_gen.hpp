@@ -46,8 +46,6 @@ struct TrafficGenConfig {
   /// repeating. Both zero = always active.
   sim::TimePs active_ps = 0;
   sim::TimePs idle_ps = 0;
-  /// Generation starts this long after simulation start.
-  sim::TimePs start_delay_ps = 0;
   /// Stop after this many issued bytes (0 = unlimited).
   std::uint64_t max_bytes = 0;
   std::uint64_t seed = 99;
@@ -87,9 +85,6 @@ class TrafficGen final : public sim::Clocked {
 
   /// Mean achieved bandwidth over [since, now] based on completions.
   [[nodiscard]] double achieved_bps(sim::TimePs since_ps = 0) const;
-
-  /// Changes the pacing target at runtime (0 = saturate).
-  void set_target_bps(double bps) { cfg_.target_bps = bps; }
 
   /// Attaches the Chrome-trace sink (nullptr detaches): the in-flight
   /// transaction count becomes a counter series on a track named after

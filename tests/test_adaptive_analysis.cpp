@@ -64,9 +64,7 @@ TEST(LatencyMonitor, ThresholdFiresOncePerWindow) {
 
 TEST(LatencyMonitor, DirectionFilter) {
   sim::Simulator s;
-  qos::LatencyMonitorConfig lc;
-  lc.track_writes = false;
-  qos::LatencyMonitor mon(s, lc);
+  qos::LatencyMonitor mon(s, qos::LatencyMonitorConfig{});
   axi::Transaction wr;
   wr.dir = axi::Dir::kWrite;
   wr.completed = 50;
@@ -246,8 +244,8 @@ TEST(ArgParser, ParsesAllForms) {
   const char* argv[] = {"prog", "positional", "--a=1", "--b",
                         "2",    "--f=x",      "--flag"};
   util::ArgParser p(7, argv);
-  EXPECT_EQ(p.get_int("a", 0), 1);
-  EXPECT_EQ(p.get_int("b", 0), 2);
+  EXPECT_EQ(p.get_count("a", 0), 1u);
+  EXPECT_EQ(p.get_count("b", 0), 2u);
   EXPECT_TRUE(p.get_bool("flag", false));
   EXPECT_EQ(p.get("f"), "x");
   ASSERT_EQ(p.positional().size(), 1u);
@@ -258,7 +256,7 @@ TEST(ArgParser, ParsesAllForms) {
 TEST(ArgParser, TypedErrors) {
   const char* argv[] = {"prog", "--n=abc", "--x=1.5z", "--b=maybe"};
   util::ArgParser p(4, argv);
-  EXPECT_THROW((void)p.get_int("n", 0), ConfigError);
+  EXPECT_THROW((void)p.get_count("n", 0), ConfigError);
   EXPECT_THROW((void)p.get_double("x", 0), ConfigError);
   EXPECT_THROW((void)p.get_bool("b", false), ConfigError);
 }

@@ -1,12 +1,11 @@
-// Unit tests for the AXI layer: timed FIFO, address map, arbiters, ports
-// and the interconnect against a scripted slave, including the crossbar's
-// sleep through cycles in which nothing can be granted.
+// Unit tests for the AXI layer: timed FIFO, arbiters, ports and the
+// interconnect against a scripted slave, including the crossbar's sleep
+// through cycles in which nothing can be granted.
 #include <gtest/gtest.h>
 
 #include <utility>
 #include <vector>
 
-#include "axi/address_map.hpp"
 #include "axi/arbiter.hpp"
 #include "axi/interconnect.hpp"
 #include "axi/timed_fifo.hpp"
@@ -49,39 +48,6 @@ TEST(TimedFifo, FifoOrder) {
 }
 
 // --------------------------------------------------------------------------
-// AddressMap
-// --------------------------------------------------------------------------
-
-TEST(AddressMap, LookupHitsAndMisses) {
-  AddressMap m;
-  m.add_region("dram", 0x0000'0000, 0x8000'0000, 0);
-  m.add_region("sram", 0xF000'0000, 0x0010'0000, 1);
-  ASSERT_TRUE(m.lookup(0x100).has_value());
-  EXPECT_EQ(m.lookup(0x100)->name, "dram");
-  EXPECT_EQ(m.lookup(0xF000'0010)->slave_index, 1u);
-  EXPECT_FALSE(m.lookup(0x9000'0000).has_value());
-  EXPECT_FALSE(m.lookup(0xF010'0000).has_value());
-}
-
-TEST(AddressMap, RejectsOverlap) {
-  AddressMap m;
-  m.add_region("a", 0x1000, 0x1000, 0);
-  EXPECT_THROW(m.add_region("b", 0x1800, 0x1000, 1), ConfigError);
-  EXPECT_THROW(m.add_region("c", 0x0800, 0x1000, 1), ConfigError);
-  // Adjacent is fine.
-  m.add_region("d", 0x2000, 0x1000, 1);
-}
-
-TEST(AddressMap, RangeLookupRejectsStraddle) {
-  AddressMap m;
-  m.add_region("a", 0x1000, 0x1000, 0);
-  m.add_region("b", 0x2000, 0x1000, 1);
-  EXPECT_TRUE(m.lookup_range(0x1F00, 0x100).has_value());
-  EXPECT_FALSE(m.lookup_range(0x1F00, 0x101).has_value());
-  EXPECT_FALSE(m.lookup_range(0x1000, 0).has_value());
-}
-
-// --------------------------------------------------------------------------
 // Arbiters
 // --------------------------------------------------------------------------
 
@@ -118,29 +84,6 @@ TEST(FixedPriorityArbiter, EqualPrioritySharesRoundRobin) {
   const auto picks = run_picks(a, {true, true, true}, 4);
   // Only masters 0 and 1 are picked, alternating.
   EXPECT_EQ(picks, (std::vector<int>{0, 1, 0, 1}));
-}
-
-TEST(WeightedRRArbiter, SharesProportionally) {
-  WeightedRRArbiter a({3, 1});
-  std::vector<int> count(2, 0);
-  for (int i = 0; i < 400; ++i) {
-    const int p = a.pick({true, true}, 0);
-    ASSERT_GE(p, 0);
-    ++count[static_cast<std::size_t>(p)];
-  }
-  EXPECT_NEAR(count[0], 300, 10);
-  EXPECT_NEAR(count[1], 100, 10);
-}
-
-TEST(WeightedRRArbiter, WorkConserving) {
-  WeightedRRArbiter a({1, 10});
-  // Only the low-weight master is eligible: it still gets every grant.
-  EXPECT_EQ(run_picks(a, {true, false}, 5),
-            (std::vector<int>{0, 0, 0, 0, 0}));
-}
-
-TEST(WeightedRRArbiter, RejectsZeroWeight) {
-  EXPECT_THROW(WeightedRRArbiter({1, 0}), ConfigError);
 }
 
 // --------------------------------------------------------------------------

@@ -228,7 +228,7 @@ TEST(CliFuzz, RandomArgvConstructsOrRejectsCleanly) {
       for (const char* key : {"k", "jobs", "num", "a", "missing"}) {
         try {
           (void)args.get(key);
-          (void)args.get_int(key, 1);
+          (void)args.get_count(key, 1);
           (void)args.get_double(key, 1.0);
           (void)args.get_bool(key, false);
         } catch (const ConfigError&) {
@@ -261,10 +261,10 @@ TEST(CliRegression, MalformedAndCornerArgv) {
     EXPECT_EQ(args.get("k"), "");
   }
   // Typed getters reject junk but keep defaults for absent keys.
-  EXPECT_THROW((void)parse({"--n", "12x"}).get_int("n", 0), ConfigError);
+  EXPECT_THROW((void)parse({"--n", "12x"}).get_count("n", 0), ConfigError);
   EXPECT_THROW((void)parse({"--d", "1.2.3"}).get_double("d", 0), ConfigError);
   EXPECT_THROW((void)parse({"--b", "maybe"}).get_bool("b", false), ConfigError);
-  EXPECT_EQ(parse({}).get_int("n", 7), 7);
+  EXPECT_EQ(parse({}).get_count("n", 7), 7u);
 }
 
 TEST(CliRegression, DuplicateOptionsAreRejected) {
@@ -293,7 +293,7 @@ TEST(CliRegression, OutOfRangeValuesNameTheOption) {
     return util::ArgParser(static_cast<int>(argv.size()), argv.data());
   };
   try {
-    (void)parse({"--n", "99999999999999999999999"}).get_int("n", 0);
+    (void)parse({"--n", "99999999999999999999999"}).get_count("n", 0);
     FAIL() << "expected ConfigError";
   } catch (const ConfigError& e) {
     const std::string what = e.what();
@@ -308,12 +308,13 @@ TEST(CliRegression, OutOfRangeValuesNameTheOption) {
     EXPECT_NE(what.find("--d"), std::string::npos);
     EXPECT_NE(what.find("out of range"), std::string::npos);
   }
-  // Negative overflow, and plausibly-large values that still fit.
+  // Negative overflow, and plausibly-large values that still fit: a
+  // seed takes the whole 64-bit range.
   EXPECT_THROW(
-      (void)parse({"--n=-99999999999999999999999"}).get_int("n", 0),
+      (void)parse({"--n=-99999999999999999999999"}).get_count("n", 0),
       ConfigError);
-  EXPECT_EQ(parse({"--n", "9223372036854775807"}).get_int("n", 0),
-            9223372036854775807ll);
+  EXPECT_EQ(parse({"--n", "18446744073709551615"}).get_count("n", 0),
+            18446744073709551615ull);
   EXPECT_DOUBLE_EQ(parse({"--d", "1e300"}).get_double("d", 0), 1e300);
   // strtod flags underflow with the same ERANGE as overflow, but a tiny
   // legitimate magnitude (subnormal or rounded to zero) is valid input.

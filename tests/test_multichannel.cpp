@@ -1,5 +1,4 @@
-// Tests for multi-channel DRAM routing, MemGuard reclaim, and
-// demand-proportional QosManager redistribution.
+// Tests for multi-channel DRAM routing.
 #include <gtest/gtest.h>
 
 #include "fgqos.hpp"
@@ -113,94 +112,6 @@ TEST(MultiChannel, RegulationStillExact) {
   const double bps = sim::bytes_per_second(
       chip.accel_port(0).stats().bytes_granted.value(), chip.now());
   EXPECT_NEAR(bps, 600e6, 30e6);
-}
-
-// --------------------------------------------------------------------------
-// SoftMemguard reclaim
-// --------------------------------------------------------------------------
-
-TEST(MemguardReclaim, HungryMasterDrawsFromIdleDonation) {
-  soc::SocConfig cfg;
-  cfg.qos_blocks = false;
-  soc::Soc chip(cfg);
-  qos::SoftMemguardConfig mc;
-  mc.reclaim_enabled = true;
-  qos::SoftMemguard mg(chip.sim(), mc);
-  // Master on port 0: hungry, budget 400 MB/s.
-  wl::TrafficGenConfig hungry;
-  hungry.name = "hungry";
-  hungry.seed = 1;
-  chip.add_traffic_gen(0, hungry);
-  mg.set_rate(chip.accel_port(0).id(), 400e6);
-  chip.accel_port(0).add_gate(mg);
-  // Master on port 1: registered with a big budget but completely idle.
-  mg.set_rate(chip.accel_port(1).id(), 2e9);
-  chip.accel_port(1).add_gate(mg);
-  chip.run_for(20 * sim::kPsPerMs);
-  const double bps = sim::bytes_per_second(
-      chip.accel_port(0).stats().bytes_granted.value(), chip.now());
-  // Far beyond its own 400 MB/s thanks to the idle master's donation...
-  EXPECT_GT(bps, 1.5e9);
-  // ...but bounded by the sum of both budgets (+ overshoot allowance).
-  EXPECT_LT(bps, 2.6e9);
-  EXPECT_GT(mg.reclaimed_total_bytes(), 10u << 20);
-}
-
-TEST(MemguardReclaim, DisabledKeepsStrictBudgets) {
-  soc::SocConfig cfg;
-  cfg.qos_blocks = false;
-  soc::Soc chip(cfg);
-  qos::SoftMemguard mg(chip.sim(), qos::SoftMemguardConfig{});
-  wl::TrafficGenConfig hungry;
-  hungry.seed = 1;
-  chip.add_traffic_gen(0, hungry);
-  mg.set_rate(chip.accel_port(0).id(), 400e6);
-  chip.accel_port(0).add_gate(mg);
-  mg.set_rate(chip.accel_port(1).id(), 2e9);  // idle donor (unused)
-  chip.accel_port(1).add_gate(mg);
-  chip.run_for(20 * sim::kPsPerMs);
-  const double bps = sim::bytes_per_second(
-      chip.accel_port(0).stats().bytes_granted.value(), chip.now());
-  EXPECT_NEAR(bps, 414e6, 30e6);  // budget + ISR overshoot only
-  EXPECT_EQ(mg.reclaimed_total_bytes(), 0u);
-}
-
-// --------------------------------------------------------------------------
-// Proportional QosManager redistribution
-// --------------------------------------------------------------------------
-
-TEST(ProportionalReclaim, FollowsDemand) {
-  soc::SocConfig cfg;
-  soc::Soc chip(cfg);
-  qos::QosManagerConfig mc;
-  mc.capacity_bps = 8e9;
-  mc.reclaim_period_ps = 100 * sim::kPsPerUs;
-  mc.reclaim_policy = qos::ReclaimPolicy::kProportional;
-  mc.best_effort_floor_bps = 100e6;
-  qos::QosManager mgr(chip.sim(), mc);
-  // Port 1: hungry saturating reader. Port 2: modest paced consumer.
-  wl::TrafficGenConfig hungry;
-  hungry.name = "hungry";
-  hungry.seed = 1;
-  chip.add_traffic_gen(0, hungry);
-  wl::TrafficGenConfig modest;
-  modest.name = "modest";
-  modest.base = 0x9000'0000;
-  modest.target_bps = 500e6;
-  modest.seed = 2;
-  chip.add_traffic_gen(1, modest);
-  mgr.add_port("hungry", 1, chip.regfile(1));
-  mgr.add_port("modest", 2, chip.regfile(2));
-  mgr.start_reclamation();
-  chip.run_for(20 * sim::kPsPerMs);
-  const double hungry_bps = sim::bytes_per_second(
-      chip.accel_port(0).stats().bytes_granted.value(), chip.now());
-  const double modest_bps = sim::bytes_per_second(
-      chip.accel_port(1).stats().bytes_granted.value(), chip.now());
-  // The modest port gets what it asks for; the hungry one gets the rest
-  // (well above an even split of 4 GB/s each would allow it).
-  EXPECT_NEAR(modest_bps, 500e6, 100e6);
-  EXPECT_GT(hungry_bps, 4.2e9);
 }
 
 }  // namespace

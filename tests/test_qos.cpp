@@ -378,26 +378,6 @@ TEST(SoftMemguard, UnregulatedMasterUnaffected) {
   EXPECT_TRUE(mg.allow(lf.make(9, 4096), 0));
 }
 
-TEST(SoftMemguard, PollingModeNeverStallsButCountsViolations) {
-  sim::Simulator s;
-  SoftMemguardConfig mc;
-  mc.period_ps = 100'000;
-  mc.isr_latency_ps = 10'000;
-  mc.use_overflow_irq = false;
-  SoftMemguard mg(s, mc);
-  mg.set_budget(1, 64);
-  LineFactory lf;
-  s.schedule_at(0, [&] {
-    for (int i = 0; i < 4; ++i) {
-      mg.on_grant(lf.make(1, 64), 0);
-    }
-    EXPECT_TRUE(mg.allow(lf.make(1, 64), 0));
-  });
-  s.run_until(50'000);
-  EXPECT_FALSE(mg.stalled(1));
-  EXPECT_EQ(mg.master_stats(1).violation_bytes, 192u);
-}
-
 // --------------------------------------------------------------------------
 // PremArbiter + CMRI
 // --------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 // Tests for cross-scheme determinism, runtime reconfiguration of QoS
-// blocks, multi-master SoftMemguard, weighted fabric arbitration under load
-// and the umbrella header.
+// blocks, multi-master SoftMemguard and the umbrella header.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -170,35 +169,6 @@ TEST(SoftMemguardMulti, IndependentBudgetsPerMaster) {
     // Within budget + the ~14 MB/s ISR overshoot.
     EXPECT_NEAR(bps, budgets[i] + 14.4e6, budgets[i] * 0.1) << "master " << i;
   }
-}
-
-// --------------------------------------------------------------------------
-// Weighted fabric arbitration end to end
-// --------------------------------------------------------------------------
-
-TEST(WeightedFabric, SharesFollowWeightsUnderSaturation) {
-  soc::SocConfig cfg;
-  cfg.qos_blocks = false;
-  // Make the DRAM the only bottleneck: generous ports.
-  cfg.accel_port.port_bandwidth_bps = 20e9;
-  soc::Soc chip(cfg);
-  // CPU port unused; weights: hp0 gets 3x hp1's share.
-  chip.xbar().set_arbiter(std::make_unique<axi::WeightedRRArbiter>(
-      std::vector<std::uint32_t>{1, 3, 1, 1, 1}));
-  for (std::size_t i = 0; i < 2; ++i) {
-    wl::TrafficGenConfig tg;
-    tg.name = gen_name(i);
-    tg.base = 0x8000'0000 + (static_cast<axi::Addr>(i) << 26);
-    tg.seed = 41 + i;
-    tg.max_outstanding = 8;
-    chip.add_traffic_gen(i, tg);
-  }
-  chip.run_for(5 * sim::kPsPerMs);
-  const double a = static_cast<double>(
-      chip.accel_port(0).stats().bytes_granted.value());
-  const double b = static_cast<double>(
-      chip.accel_port(1).stats().bytes_granted.value());
-  EXPECT_NEAR(a / b, 3.0, 0.5);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Fine-grained timing and behavioural detail tests: DRAM tFAW/refresh
-// effects, mapping-policy bandwidth, CMRI/PREM schedules, runtime pacing
-// changes and bound portability across presets.
+// effects, mapping-policy bandwidth, CMRI/PREM schedules and bound
+// portability across presets.
 #include <gtest/gtest.h>
 
 #include "fgqos.hpp"
@@ -114,26 +114,6 @@ TEST(CmriRuntime, InjectionBudgetChangeAppliesNextSlot) {
   cmri.set_injection_budget(256);
   // Larger budget visible immediately (remaining recomputed).
   EXPECT_TRUE(cmri.allow(l, 0));
-}
-
-// --------------------------------------------------------------------------
-// Runtime pacing change on a traffic generator
-// --------------------------------------------------------------------------
-
-TEST(TrafficPacing, TargetChangeAtRuntime) {
-  soc::SocConfig cfg;
-  cfg.qos_blocks = false;
-  soc::Soc chip(cfg);
-  wl::TrafficGenConfig tg;
-  tg.target_bps = 500e6;
-  wl::TrafficGen& gen = chip.add_traffic_gen(0, tg);
-  chip.run_for(2 * sim::kPsPerMs);
-  const std::uint64_t phase1 = gen.stats().issued_bytes;
-  gen.set_target_bps(2e9);
-  chip.run_for(2 * sim::kPsPerMs);
-  const std::uint64_t phase2 = gen.stats().issued_bytes - phase1;
-  EXPECT_NEAR(sim::bytes_per_second(phase1, 2 * sim::kPsPerMs), 500e6, 50e6);
-  EXPECT_NEAR(sim::bytes_per_second(phase2, 2 * sim::kPsPerMs), 2e9, 0.2e9);
 }
 
 // --------------------------------------------------------------------------

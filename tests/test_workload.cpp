@@ -53,18 +53,6 @@ TEST(TrafficGen, PacedModeHitsTargetRate) {
   EXPECT_NEAR(bps, 1e9, 0.1e9);
 }
 
-TEST(TrafficGen, StartDelayRespected) {
-  soc::Soc chip(plain_soc());
-  TrafficGenConfig tg;
-  tg.start_delay_ps = 500 * sim::kPsPerUs;
-  TrafficGen& gen = chip.add_traffic_gen(0, tg);
-  chip.run_for(400 * sim::kPsPerUs);
-  EXPECT_EQ(gen.stats().issued_bytes, 0u);
-  chip.run_for(400 * sim::kPsPerUs);
-  EXPECT_GT(gen.stats().issued_bytes, 0u);
-  EXPECT_GE(gen.stats().first_issue_at, 500 * sim::kPsPerUs);
-}
-
 TEST(TrafficGen, MaxBytesStopsGeneration) {
   soc::Soc chip(plain_soc());
   TrafficGenConfig tg;

@@ -167,8 +167,8 @@ int main(int argc, char** argv) {
     if (!replay_path.empty()) {
       const qos::CertifiedEnvelope env =
           qos::CertifiedEnvelope::from_file(replay_path);
-      const auto replay_seed = static_cast<std::uint64_t>(args.get_int(
-          "replay-seed", static_cast<std::int64_t>(env.seed + 1)));
+      const std::uint64_t replay_seed =
+          args.get_count("replay-seed", env.seed + 1);
       const bool regulated = !args.get_bool("unregulated", false);
       const std::string metrics_json = args.get("metrics-json", "");
       for (const auto& k : args.unused_keys()) {
@@ -213,7 +213,7 @@ int main(int argc, char** argv) {
     spec.optimizer = args.get("optimizer", "both");
     spec.objective =
         search::objective_from_name(args.get("objective", "slowdown"));
-    spec.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+    spec.seed = args.get_count("seed", 1);
     spec.budget_evals = args.get_count("budget-evals", 64);
     spec.restarts = args.get_count("restarts", 2);
     spec.mu = args.get_count("mu", 4);
