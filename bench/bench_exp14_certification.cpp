@@ -54,7 +54,6 @@ int main(int argc, char** argv) {
   }
 
   search::SearchSpec spec;
-  spec.optimizer = "both";
   spec.objective = search::Objective::kSlowdown;
   spec.seed = 14;
   spec.eval.victim_accesses = quick ? 64 : 256;

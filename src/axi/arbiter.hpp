@@ -17,15 +17,12 @@ class Arbiter {
   /// \param eligible one flag per master id; true = has a grantable line.
   /// \return the chosen master id, or -1 when none is eligible.
   virtual int pick(const std::vector<bool>& eligible, sim::TimePs now) = 0;
-  /// Human-readable policy name for reports.
-  [[nodiscard]] virtual const char* policy_name() const = 0;
 };
 
 /// Classic rotating-priority round robin: fair at line granularity.
 class RoundRobinArbiter final : public Arbiter {
  public:
   int pick(const std::vector<bool>& eligible, sim::TimePs now) override;
-  [[nodiscard]] const char* policy_name() const override { return "rr"; }
 
  private:
   std::size_t next_ = 0;
@@ -38,7 +35,6 @@ class FixedPriorityArbiter final : public Arbiter {
   /// \param priority one level per master id.
   explicit FixedPriorityArbiter(std::vector<int> priority);
   int pick(const std::vector<bool>& eligible, sim::TimePs now) override;
-  [[nodiscard]] const char* policy_name() const override { return "priority"; }
 
  private:
   std::vector<int> priority_;

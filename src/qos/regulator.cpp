@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "sim/logger.hpp"
 #include "telemetry/journal.hpp"
 #include "util/config_error.hpp"
 
@@ -351,9 +350,6 @@ void Regulator::debit_landed(Bucket& b, sim::TimePs now) {
     b.exhausted_since = now;
     ++b.stats.exhausted_windows;
     b.stats.last_exhausted_at = now;
-    FGQOS_LOG_TRACE("%s: budget exhausted at %llu ps (credit %lld)",
-                    cfg_.name.c_str(), static_cast<unsigned long long>(now),
-                    static_cast<long long>(b.credit.tokens()));
     if (trace_ != nullptr) {
       trace_->counter(track_, "tokens", now,
                       static_cast<double>(b.credit.tokens()));

@@ -285,11 +285,6 @@ void Scenario::finish() {
   chip->finish_telemetry();
 }
 
-telemetry::ProfileSnapshot Scenario::profile() {
-  chip->collect_metrics();  // samples the slab arenas into the profiler
-  return chip->profiler()->snapshot();
-}
-
 void Scenario::write(const std::string& dir,
                      const telemetry::RunManifest& manifest,
                      bool drop_host_timing) {
@@ -312,8 +307,8 @@ void Scenario::write(const std::string& dir,
   if (telemetry::DecisionJournal* j = chip->journal()) {
     j->save_jsonl(base + "journal.jsonl", &manifest);
   }
-  if (chip->profiler() != nullptr) {
-    const telemetry::ProfileSnapshot prof = profile();
+  if (const telemetry::HostProfiler* profiler = chip->profiler()) {
+    const telemetry::ProfileSnapshot prof = profiler->snapshot();
     prof.save_json(base + "profile.json", &manifest);
     prof.save_folded(base + "profile.folded");
   }

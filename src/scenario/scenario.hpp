@@ -161,8 +161,6 @@ struct Scenario {
   /// Flushes trailing trace spans and closes the observers; call once the
   /// run is over, before reading any export.
   void finish();
-  /// Host-profile snapshot, arena peaks included (needs Observers::profile).
-  [[nodiscard]] telemetry::ProfileSnapshot profile();
   /// Writes the run bundle into the existing directory \p dir, each file
   /// stamped with \p manifest: metrics.{json,csv}, then blame.{csv,json},
   /// timeseries.{csv,json}, journal.jsonl and profile.{json,folded} for

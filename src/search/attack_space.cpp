@@ -78,18 +78,9 @@ AttackConfig AttackSpace::from_json(const util::JsonValue& v) {
   AttackConfig c;
   c.choice[kDimCount] =
       index_of(kCounts, static_cast<int>(v.at("count").as_number()), "count");
-  const std::string& pat_name = v.at("pattern").as_string();
-  std::uint8_t pat_idx = 255;
-  for (std::size_t i = 0; i < kPatterns.size(); ++i) {
-    if (pat_name == wl::pattern_name(kPatterns[i])) {
-      pat_idx = static_cast<std::uint8_t>(i);
-      break;
-    }
-  }
-  if (pat_idx == 255) {
-    throw ConfigError("attack config: unknown pattern \"" + pat_name + "\"");
-  }
-  c.choice[kDimPattern] = pat_idx;
+  c.choice[kDimPattern] = index_of(
+      kPatterns, wl::pattern_from_name(v.at("pattern").as_string()),
+      "pattern");
   c.choice[kDimBurst] = index_of(
       kBursts, static_cast<std::uint32_t>(v.at("burst_bytes").as_number()),
       "burst_bytes");

@@ -285,7 +285,7 @@ sim::TimePs resolve_slo_ps(double slo_iter_us, double solo_iter_mean_ps) {
 
 std::string SearchSpec::canonical() const {
   std::ostringstream os;
-  os << "optimizer=" << optimizer << " objective=" << objective_name(objective)
+  os << "optimizer=both objective=" << objective_name(objective)
      << " seed=" << seed << " budget_evals=" << budget_evals
      << " restarts=" << restarts << " mu=" << mu << " lambda=" << lambda
      << " generations=" << generations
@@ -312,11 +312,6 @@ std::string SearchSpec::spec_hash() const {
 SearchOutcome run_search(const SearchSpec& spec, exec::ScenarioRunner& runner,
                          const std::string& journal_path, bool resume,
                          const ProgressFn& progress) {
-  if (spec.optimizer != "coord" && spec.optimizer != "es" &&
-      spec.optimizer != "both") {
-    throw ConfigError("unknown optimizer \"" + spec.optimizer +
-                            "\" (want coord | es | both)");
-  }
   if (spec.budget_evals == 0) {
     throw ConfigError("search: budget_evals must be > 0");
   }
@@ -394,16 +389,13 @@ SearchOutcome run_search(const SearchSpec& spec, exec::ScenarioRunner& runner,
   }
 
   // --- optimizer phases ----------------------------------------------------
-  if (spec.optimizer == "coord" || spec.optimizer == "both") {
-    CoordinateDescent coord(spec.seed, spec.restarts);
-    if (!d.run_optimizer(coord, progress)) return finish_interrupted();
-  }
-  if ((spec.optimizer == "es" || spec.optimizer == "both") &&
-      d.unique_configs() < spec.budget_evals) {
+  // Coordinate descent first; the ES spends what budget is left, warm
+  // started from the coordinate phase's best configs.
+  CoordinateDescent coord(spec.seed, spec.restarts);
+  if (!d.run_optimizer(coord, progress)) return finish_interrupted();
+  if (d.unique_configs() < spec.budget_evals) {
     MuLambdaES es(spec.seed, spec.mu, spec.lambda, spec.generations);
-    if (spec.optimizer == "both") {
-      es.seed_parents(d.top_configs(spec.mu));
-    }
+    es.seed_parents(d.top_configs(spec.mu));
     if (!d.run_optimizer(es, progress)) return finish_interrupted();
   }
 
@@ -442,7 +434,7 @@ SearchOutcome run_search(const SearchSpec& spec, exec::ScenarioRunner& runner,
   env.manifest.fault_spec_hash =
       spec.fault_spec_json.empty() ? ""
                                    : telemetry::fnv1a_hex(spec.fault_spec_json);
-  env.optimizer = spec.optimizer;
+  env.optimizer = "both";
   env.objective = objective_name(spec.objective);
   env.seed = spec.seed;
   env.evaluations = d.unique_configs();

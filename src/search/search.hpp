@@ -27,7 +27,6 @@ namespace fgqos::search {
 /// *semantic* (they feed spec_hash and the envelope manifest) except
 /// none — execution mechanics (jobs, journal path) live outside.
 struct SearchSpec {
-  std::string optimizer = "both";  ///< "coord" | "es" | "both"
   Objective objective = Objective::kSlowdown;
   std::uint64_t seed = 1;
   /// Unique attack configs to evaluate at most (each costs two sims:

@@ -5,12 +5,10 @@
 /// fence-post accounting: one cycle-counter read per dispatch, with the
 /// span between consecutive reads charged to the event (or tick) that
 /// just ran. Everything the kernel touches on that path lives here — a
-/// fixed-size per-thread table of (count, cycles) per tag plus the
-/// micro-telemetry histograms ROADMAP item 2 needs (heap depth,
-/// same-timestamp run lengths, arm deltas). The table is plain data with
-/// no locks and no allocation after construction; one table is written by
-/// exactly one simulation thread and merged at report time by
-/// telemetry::HostProfiler, which also owns the tag-name registry. Keeping
+/// fixed-size table of (count, cycles) per tag. The table is plain data
+/// with no locks and no allocation after construction; it is written by
+/// the one thread driving its Simulator and read at report time by
+/// telemetry::HostProfiler, which owns it and the tag-name registry. Keeping
 /// this header free of telemetry/ types preserves the sim -> telemetry
 /// layering (telemetry depends on sim, never the reverse).
 #pragma once
@@ -23,8 +21,6 @@
 #else
 #include <chrono>
 #endif
-
-#include "sim/histogram.hpp"
 
 namespace fgqos::sim {
 
@@ -58,21 +54,14 @@ inline constexpr std::uint32_t kProfTagUntagged = 0;
 /// exact: every measured cycle lands in exactly one tag.
 inline constexpr std::uint32_t kProfTagOverhead = 1;
 
-/// Fixed-size per-thread attribution table. All members are updated from
-/// the one thread driving the owning Simulator; merging happens off the
-/// hot path (telemetry::HostProfiler::snapshot).
+/// Fixed-size attribution table. All members are updated from the one
+/// thread driving the owning Simulator and read off the hot path
+/// (telemetry::HostProfiler::snapshot).
 struct ProfTable {
   static constexpr std::size_t kMaxTags = 256;
 
   std::array<ProfTagStat, kMaxTags> tags{};
 
-  // Kernel micro-telemetry (see ROADMAP open item 2).
-  Histogram heap_depth;    ///< event-queue occupancy at each event dispatch
-  Histogram run_length;    ///< consecutive events sharing one timestamp
-  Histogram arm_delta_ps;  ///< schedule-time horizon: when - now, ps
-
-  std::uint64_t oneshot_scheduled = 0;  ///< schedule_at/schedule_after calls
-  std::uint64_t recurring_armed = 0;    ///< schedule_recurring calls
   std::uint64_t events_dispatched = 0;  ///< profiled event dispatches
   std::uint64_t ticks_dispatched = 0;   ///< profiled tick dispatches
   std::uint64_t total_cycles = 0;       ///< fence-post total inside run_until

@@ -107,8 +107,6 @@ void Simulator::run_loop(TimePs t_end) {
   // a run sum exactly to total_cycles.
   std::uint64_t c_prev = kProfile ? prof_now_cycles() : 0;
   const std::uint64_t c_start = c_prev;
-  TimePs run_ts = kTimeNever;     // timestamp of the current event run
-  std::uint64_t run_len = 0;      // same-timestamp events seen in it
   while (!stop_requested_) {
     const TimePs ev_t = events_.next_time();
     const TimePs tk_t = ticks_.empty() ? kTimeNever : ticks_.top().when;
@@ -119,18 +117,6 @@ void Simulator::run_loop(TimePs t_end) {
     now_ = next;
     // Events fire before ticks at equal timestamps.
     if (ev_t <= tk_t && ev_t != kTimeNever) {
-      if constexpr (kProfile) {
-        prof_->heap_depth.record(events_.size());
-        if (ev_t == run_ts) {
-          ++run_len;
-        } else {
-          if (run_len > 0) {
-            prof_->run_length.record(run_len);
-          }
-          run_ts = ev_t;
-          run_len = 1;
-        }
-      }
       ++events_dispatched_;
       events_.run_next<kProfile>();
       if constexpr (kProfile) {
@@ -191,9 +177,6 @@ void Simulator::run_loop(TimePs t_end) {
     fired_order_ = ~std::uint64_t{0};
   }
   if constexpr (kProfile) {
-    if (run_len > 0) {
-      prof_->run_length.record(run_len);
-    }
     const std::uint64_t c_end = prof_now_cycles();
     prof_->hit(kProfTagOverhead, c_end - c_prev);
     prof_->total_cycles += c_end - c_start;

@@ -137,10 +137,6 @@ class Simulator {
   template <typename F>
   void schedule_at(TimePs when, F&& fn, std::uint32_t tag = 0) {
     FGQOS_ASSERT(when >= now_, "schedule_at: time in the past");
-    if (prof_ != nullptr) {
-      ++prof_->oneshot_scheduled;
-      prof_->arm_delta_ps.record(when - now_);
-    }
     events_.schedule(when, std::forward<F>(fn), tag);
   }
 
@@ -166,10 +162,6 @@ class Simulator {
   void schedule_recurring(EventQueue::RecurringId id, TimePs when,
                           std::uint64_t arg = 0) {
     FGQOS_ASSERT(when >= now_, "schedule_recurring: time in the past");
-    if (prof_ != nullptr) {
-      ++prof_->recurring_armed;
-      prof_->arm_delta_ps.record(when - now_);
-    }
     events_.schedule_recurring(id, when, arg);
   }
 
@@ -213,7 +205,7 @@ class Simulator {
   // --- host profiling ----------------------------------------------------
 
   /// Attaches a host profiler: \p table receives per-tag cycle
-  /// attribution and kernel micro-telemetry, \p register_tag maps tag
+  /// attribution and dispatch counts, \p register_tag maps tag
   /// names to ids (owned by the telemetry::HostProfiler behind it; the
   /// indirection keeps sim/ free of telemetry types). Pass nullptr to
   /// detach. When no profiler is attached the run loop takes exactly one
@@ -225,9 +217,6 @@ class Simulator {
     prof_ = table;
     prof_register_ = std::move(register_tag);
   }
-
-  /// True when a host profiler is attached.
-  [[nodiscard]] bool profiling() const { return prof_ != nullptr; }
 
   /// Registers (idempotently) the attribution tag named \p name with the
   /// attached profiler; returns 0 — the untagged bucket — when profiling

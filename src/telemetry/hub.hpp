@@ -51,8 +51,9 @@ class Hub {
 
   /// Creates the interference-attribution engine with blame windows of
   /// \p window_ps (at most one per hub; throws ConfigError on a second
-  /// call). Wires it to the trace sink when one is already open. The
-  /// caller still registers masters and hands the engine to the fabric.
+  /// call). The caller registers masters, hands the engine to the fabric
+  /// and wires it to an already-open trace sink (Soc::enable_attribution
+  /// does all three); open_trace() wires it to a sink opened later.
   AttributionEngine& enable_attribution(sim::TimePs window_ps);
   /// The engine, or nullptr when attribution is disabled.
   [[nodiscard]] AttributionEngine* attribution() { return attribution_.get(); }
@@ -83,8 +84,9 @@ class Hub {
   }
 
   /// Starts the kernel self-profiling sampler: every \p period_ps it
-  /// records event-queue occupancy and event/tick dispatch rates as
-  /// counter tracks (category "kernel") and registry metrics.
+  /// writes event-queue occupancy and the events and ticks dispatched
+  /// since the previous sample as counter tracks (category "kernel") on
+  /// the trace sink. It writes no registry metrics.
   void start_kernel_sampling(sim::Simulator& sim,
                              sim::TimePs period_ps = 100 * sim::kPsPerUs);
 

@@ -19,22 +19,15 @@
 #include <string>
 
 #include "sim/histogram.hpp"
+#include "sim/stats.hpp"
 #include "sim/time.hpp"
 
 namespace fgqos::telemetry {
 
 struct RunManifest;
 
-/// Monotonically increasing counter handle.
-class Counter {
- public:
-  void add(std::uint64_t n = 1) { value_ += n; }
-  [[nodiscard]] std::uint64_t value() const { return value_; }
-  void reset() { value_ = 0; }
-
- private:
-  std::uint64_t value_ = 0;
-};
+/// Counters reuse the simulator's monotonically increasing counter.
+using Counter = sim::Counter;
 
 /// Last-value gauge handle.
 class Gauge {

@@ -22,17 +22,6 @@ void write_number(std::ostream& os, double v) {
   os.write(buf, res.ptr - buf);
 }
 
-void write_hist(std::ostream& os, const char* key, const sim::Histogram& h) {
-  os << "\"" << key << "\":{\"count\":" << h.count();
-  if (h.count() > 0) {
-    os << ",\"min\":" << h.min() << ",\"max\":" << h.max() << ",\"mean\":";
-    write_number(os, h.mean());
-    os << ",\"p50\":" << h.p50() << ",\"p90\":" << h.p90()
-       << ",\"p99\":" << h.p99() << ",\"p999\":" << h.p999();
-  }
-  os << "}";
-}
-
 /// "qos.regulator" -> "qos"; tags without a dot are their own group.
 std::string_view tag_group(std::string_view name) {
   const std::size_t dot = name.find('.');
@@ -49,13 +38,8 @@ void ProfileSnapshot::merge(const ProfileSnapshot& other) {
   config_check(tag_table_version == other.tag_table_version,
                "ProfileSnapshot: merging across tag-table versions");
   total_cycles += other.total_cycles;
-  oneshot_scheduled += other.oneshot_scheduled;
-  recurring_armed += other.recurring_armed;
   events_dispatched += other.events_dispatched;
   ticks_dispatched += other.ticks_dispatched;
-  heap_depth.merge(other.heap_depth);
-  run_length.merge(other.run_length);
-  arm_delta_ps.merge(other.arm_delta_ps);
   // Tags fold by name; both sides are name-sorted, so one linear merge
   // keeps the result sorted (and therefore independent of merge order).
   std::vector<ProfileTagEntry> merged;
@@ -77,22 +61,6 @@ void ProfileSnapshot::merge(const ProfileSnapshot& other) {
     }
   }
   tags = std::move(merged);
-  for (const ProfileArenaStat& a : other.arenas) {
-    auto it = std::find_if(arenas.begin(), arenas.end(),
-                           [&](const ProfileArenaStat& mine) {
-                             return mine.name == a.name;
-                           });
-    if (it == arenas.end()) {
-      arenas.push_back(a);
-    } else {
-      it->peak_live = std::max(it->peak_live, a.peak_live);
-      it->capacity = std::max(it->capacity, a.capacity);
-    }
-  }
-  std::sort(arenas.begin(), arenas.end(),
-            [](const ProfileArenaStat& a, const ProfileArenaStat& b) {
-              return a.name < b.name;
-            });
 }
 
 double ProfileSnapshot::coverage() const {
@@ -110,9 +78,7 @@ void ProfileSnapshot::write_json_object(std::ostream& os) const {
   os << "{\"tag_table_version\":" << tag_table_version
      << ",\"total_cycles\":" << total_cycles << ",\"coverage\":";
   write_number(os, coverage());
-  os << ",\"events\":{\"oneshot_scheduled\":" << oneshot_scheduled
-     << ",\"recurring_armed\":" << recurring_armed
-     << ",\"events_dispatched\":" << events_dispatched
+  os << ",\"events\":{\"events_dispatched\":" << events_dispatched
      << ",\"ticks_dispatched\":" << ticks_dispatched << "}";
   os << ",\"tags\":[";
   bool first = true;
@@ -129,23 +95,6 @@ void ProfileSnapshot::write_json_object(std::ostream& os) const {
                          : static_cast<double>(t.cycles) /
                                static_cast<double>(total_cycles));
     os << "}";
-  }
-  os << "],";
-  write_hist(os, "heap_depth", heap_depth);
-  os << ",";
-  write_hist(os, "run_length", run_length);
-  os << ",";
-  write_hist(os, "arm_delta_ps", arm_delta_ps);
-  os << ",\"arenas\":[";
-  first = true;
-  for (const ProfileArenaStat& a : arenas) {
-    if (!first) {
-      os << ",";
-    }
-    first = false;
-    os << "{\"name\":\"" << util::json_escape(a.name)
-       << "\",\"peak_live\":" << a.peak_live
-       << ",\"capacity\":" << a.capacity << "}";
   }
   os << "]}";
 }
@@ -212,63 +161,29 @@ std::uint32_t HostProfiler::register_tag(std::string_view name) {
   return id;
 }
 
-sim::ProfTable& HostProfiler::acquire_table() {
-  const std::size_t slot = tables_used_.fetch_add(1);
-  config_check(slot < kMaxTables, "HostProfiler: out of per-thread tables");
-  tables_[slot] = std::make_unique<sim::ProfTable>();
-  return *tables_[slot];
-}
-
 void HostProfiler::attach(sim::Simulator& sim) {
-  sim::ProfTable& table = acquire_table();
-  sim.set_profiler(&table, [this](std::string_view name) {
+  sim.set_profiler(&table_, [this](std::string_view name) {
     return register_tag(name);
   });
 }
 
-void HostProfiler::record_arena(const std::string& name, std::uint64_t live,
-                                std::uint64_t capacity) {
-  ProfileArenaStat& a = arenas_[name];
-  a.name = name;
-  a.peak_live = std::max(a.peak_live, live);
-  a.capacity = std::max(a.capacity, capacity);
-}
-
 ProfileSnapshot HostProfiler::snapshot() const {
   ProfileSnapshot s;
-  const std::size_t used = std::min(tables_used_.load(), kMaxTables);
-  // Sum the fixed tables per tag id first, then materialise only the
-  // live tags under their names, sorted.
-  std::vector<sim::ProfTagStat> by_id(names_.size());
-  for (std::size_t t = 0; t < used; ++t) {
-    const sim::ProfTable& tab = *tables_[t];
-    for (std::size_t id = 0; id < names_.size(); ++id) {
-      by_id[id].count += tab.tags[id].count;
-      by_id[id].cycles += tab.tags[id].cycles;
-    }
-    s.total_cycles += tab.total_cycles;
-    s.oneshot_scheduled += tab.oneshot_scheduled;
-    s.recurring_armed += tab.recurring_armed;
-    s.events_dispatched += tab.events_dispatched;
-    s.ticks_dispatched += tab.ticks_dispatched;
-    s.heap_depth.merge(tab.heap_depth);
-    s.run_length.merge(tab.run_length);
-    s.arm_delta_ps.merge(tab.arm_delta_ps);
-  }
+  s.total_cycles = table_.total_cycles;
+  s.events_dispatched = table_.events_dispatched;
+  s.ticks_dispatched = table_.ticks_dispatched;
+  // Materialise only the live tags under their names, sorted.
   for (std::size_t id = 0; id < names_.size(); ++id) {
-    if (by_id[id].count == 0 && by_id[id].cycles == 0) {
+    const sim::ProfTagStat& t = table_.tags[id];
+    if (t.count == 0 && t.cycles == 0) {
       continue;
     }
-    s.tags.push_back(
-        ProfileTagEntry{names_[id], by_id[id].count, by_id[id].cycles});
+    s.tags.push_back(ProfileTagEntry{names_[id], t.count, t.cycles});
   }
   std::sort(s.tags.begin(), s.tags.end(),
             [](const ProfileTagEntry& a, const ProfileTagEntry& b) {
               return a.name < b.name;
             });
-  for (const auto& [name, a] : arenas_) {
-    s.arenas.push_back(a);
-  }
   return s;
 }
 

@@ -21,10 +21,6 @@ void write_number(std::ostream& os, double v) {
   os.write(buf, res.ptr - buf);
 }
 
-std::string read_file(const std::string& path) {
-  return util::read_file(path, "report: cannot read '" + path + "'");
-}
-
 double number_or(const util::JsonValue& obj, const std::string& key,
                  double def) {
   if (!obj.contains(key)) {
@@ -142,7 +138,8 @@ void RunData::adopt_manifest(const RunManifest& m) {
 }
 
 void RunData::load_metrics_json(const std::string& path) {
-  const util::JsonValue doc = util::JsonValue::parse(read_file(path));
+  const util::JsonValue doc = util::JsonValue::parse(
+      util::read_file(path, "report: cannot read '" + path + "'"));
   config_check(doc.is_object(), "report: '" + path + "' is not a JSON object");
   if (doc.contains("manifest")) {
     adopt_manifest(RunManifest::from_json(doc.at("manifest")));
@@ -184,7 +181,8 @@ void RunData::load_metrics_json(const std::string& path) {
 }
 
 void RunData::load_blame_csv(const std::string& path) {
-  std::istringstream is(read_file(path));
+  std::istringstream is(
+      util::read_file(path, "report: cannot read '" + path + "'"));
   std::string line;
   bool saw_header = false;
   bool has_point_column = false;
@@ -219,7 +217,8 @@ void RunData::load_blame_csv(const std::string& path) {
 }
 
 void RunData::load_journal_jsonl(const std::string& path) {
-  std::istringstream is(read_file(path));
+  std::istringstream is(
+      util::read_file(path, "report: cannot read '" + path + "'"));
   std::string line;
   bool saw_any = false;
   while (std::getline(is, line)) {
@@ -259,7 +258,8 @@ void RunData::load_journal_jsonl(const std::string& path) {
 }
 
 void RunData::load_timeseries_json(const std::string& path) {
-  const util::JsonValue doc = util::JsonValue::parse(read_file(path));
+  const util::JsonValue doc = util::JsonValue::parse(
+      util::read_file(path, "report: cannot read '" + path + "'"));
   config_check(doc.is_object(), "report: '" + path + "' is not a JSON object");
   if (doc.contains("manifest")) {
     adopt_manifest(RunManifest::from_json(doc.at("manifest")));
@@ -698,70 +698,34 @@ double ProfileData::share(const std::string& tag) const {
 
 ProfileData ProfileData::parse(const std::string& text) {
   ProfileData d;
-  const std::size_t first = text.find_first_not_of(" \t\r\n");
-  config_check(first != std::string::npos, "report: empty profile artifact");
-  if (text[first] == '{') {
-    const util::JsonValue root = util::JsonValue::parse(text);
-    config_check(root.is_object(), "report: profile artifact must be an object");
-    if (root.contains("manifest")) {
-      d.manifest = RunManifest::from_json(root.at("manifest"));
-      d.has_manifest = true;
-    }
-    // Accept both the wrapped form ({"profile":{...}}) and a bare
-    // profile object (has total_cycles/tags at the top level).
-    const util::JsonValue& prof =
-        root.contains("profile") ? root.at("profile") : root;
-    config_check(prof.is_object() && prof.contains("tags"),
-                 "report: profile artifact has no tags array");
-    d.tag_table_version =
-        static_cast<int>(number_or(prof, "tag_table_version", 0.0));
-    if (d.tag_table_version == 0 && d.has_manifest) {
-      d.tag_table_version = d.manifest.profile_tag_table_version;
-    }
-    d.total_cycles =
-        static_cast<std::uint64_t>(number_or(prof, "total_cycles", 0.0));
-    d.coverage = number_or(prof, "coverage", 0.0);
-    for (const util::JsonValue& t : prof.at("tags").as_array()) {
-      config_check(t.is_object() && t.contains("name"),
-                   "report: malformed profile tag entry");
-      d.tags[t.at("name").as_string()] = {
-          static_cast<std::uint64_t>(number_or(t, "count", 0.0)),
-          static_cast<std::uint64_t>(number_or(t, "cycles", 0.0))};
-    }
-    return d;
+  const util::JsonValue root = util::JsonValue::parse(text);
+  config_check(root.is_object() && root.contains("profile"),
+               "report: profile artifact must be an object with a "
+               "\"profile\" member");
+  if (root.contains("manifest")) {
+    d.manifest = RunManifest::from_json(root.at("manifest"));
+    d.has_manifest = true;
   }
-  // Folded-stack format: "fgqos;<group>;<tag> <cycles>" per line. The
-  // total is reconstructed as the attributed sum, so coverage is 1 by
-  // construction and untagged time is whatever the kernel.* frames say.
-  std::istringstream is(text);
-  std::string line;
-  while (std::getline(is, line)) {
-    if (line.empty()) {
-      continue;
-    }
-    const std::size_t sp = line.find_last_of(' ');
-    config_check(sp != std::string::npos && sp + 1 < line.size(),
-                 "report: malformed folded line '" + line + "'");
-    const std::size_t semi = line.find_last_of(';', sp);
-    config_check(semi != std::string::npos,
-                 "report: malformed folded line '" + line + "'");
-    const std::string name = line.substr(semi + 1, sp - semi - 1);
-    std::uint64_t cycles = 0;
-    const char* begin = line.c_str() + sp + 1;
-    const auto res = std::from_chars(begin, line.c_str() + line.size(), cycles);
-    config_check(res.ec == std::errc(),
-                 "report: bad cycle count in folded line '" + line + "'");
-    auto& slot = d.tags[name];
-    slot.second += cycles;
-    d.total_cycles += cycles;
+  const util::JsonValue& prof = root.at("profile");
+  config_check(prof.is_object() && prof.contains("tags"),
+               "report: profile artifact has no tags array");
+  d.tag_table_version =
+      static_cast<int>(number_or(prof, "tag_table_version", 0.0));
+  d.total_cycles =
+      static_cast<std::uint64_t>(number_or(prof, "total_cycles", 0.0));
+  d.coverage = number_or(prof, "coverage", 0.0);
+  for (const util::JsonValue& t : prof.at("tags").as_array()) {
+    config_check(t.is_object() && t.contains("name"),
+                 "report: malformed profile tag entry");
+    d.tags[t.at("name").as_string()] = {
+        static_cast<std::uint64_t>(number_or(t, "count", 0.0)),
+        static_cast<std::uint64_t>(number_or(t, "cycles", 0.0))};
   }
-  config_check(!d.tags.empty(), "report: folded profile has no frames");
-  d.coverage = 1.0;
   return d;
 }
 
 ProfileData ProfileData::load(const std::string& path) {
-  return parse(read_file(path));
+  return parse(util::read_file(path, "report: cannot read '" + path + "'"));
 }
 
 ProfileComparison compare_profiles(const ProfileData& a, const ProfileData& b,

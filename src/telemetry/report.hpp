@@ -193,10 +193,9 @@ struct BenchComparison {
                                             const std::string& fresh_json,
                                             double max_drop_pct = 10.0);
 
-/// One host-profile artifact parsed back from disk: either the JSON a
-/// run writes via --profile-json (`{"manifest":...,"profile":{...}}`,
-/// the bare `{"profile":{...}}` form, or a raw profile object), or a
-/// folded-stack file (`fgqos;<group>;<tag> <cycles>` lines).
+/// One host-profile artifact parsed back from disk: the profile.json a
+/// profiled run writes (`{"manifest":...,"profile":{...}}`; the manifest
+/// is optional).
 struct ProfileData {
   RunManifest manifest;
   bool has_manifest = false;
@@ -209,7 +208,8 @@ struct ProfileData {
   /// Cycle share of \p tag (0 when the profile is empty).
   [[nodiscard]] double share(const std::string& tag) const;
 
-  /// Autodetects JSON vs folded by the first non-space byte ('{' = JSON).
+  /// Throws ConfigError unless \p text is a JSON object with a "profile"
+  /// member carrying a tags array.
   [[nodiscard]] static ProfileData parse(const std::string& text);
   [[nodiscard]] static ProfileData load(const std::string& path);
 };

@@ -1,4 +1,4 @@
-// Last-mile coverage: logger levels, ISR-after-boundary race, disabled
+// Last-mile coverage: ISR-after-boundary race, disabled
 // gates, kernel hot-swap, multi-channel stats aggregation, and table I/O.
 #include <gtest/gtest.h>
 
@@ -8,24 +8,10 @@
 
 #include "fgqos.hpp"
 #include "util/csv.hpp"
-#include "sim/logger.hpp"
 #include "util/config_error.hpp"
 
 namespace fgqos {
 namespace {
-
-TEST(Logger, LevelGateWorks) {
-  const sim::LogLevel old = sim::Logger::level();
-  sim::Logger::set_level(sim::LogLevel::kError);
-  EXPECT_EQ(sim::Logger::level(), sim::LogLevel::kError);
-  // Macro with a suppressed level must not evaluate side effects? (it
-  // does evaluate the check only; emission is skipped). Just exercise
-  // both paths for crash-freedom.
-  FGQOS_LOG_DEBUG("suppressed %d", 1);
-  sim::Logger::set_level(sim::LogLevel::kDebug);
-  FGQOS_LOG_DEBUG("emitted %d", 2);
-  sim::Logger::set_level(old);
-}
 
 TEST(SoftMemguardRace, IsrLandingAfterBoundaryIsDropped) {
   sim::Simulator s;

@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -179,7 +180,6 @@ TEST(SearchObjective, ObjectiveNamesRoundTrip) {
 /// the EXP1 start, budget-truncated) plus validation runs in seconds.
 search::SearchSpec tiny_search_spec() {
   search::SearchSpec spec;
-  spec.optimizer = "both";
   spec.seed = 3;
   spec.budget_evals = 6;  // truncates after the first neighbour batch
   spec.restarts = 1;
@@ -233,14 +233,19 @@ TEST(ContentionSearch, InterruptedSearchResumesFromJournal) {
   std::remove(journal.c_str());
 
   search::SearchSpec spec = tiny_search_spec();
-  spec.optimizer = "es";  // one small generation; exercises the ES path
-  spec.budget_evals = 8;
+  // A budget the coordinate phase converges inside, so the ES phase (one
+  // small generation, warm started from it) spends the rest: the resumed
+  // search replays both phases.
+  spec.budget_evals = 64;
 
   // Reference: the uninterrupted search.
   exec::ScenarioRunner ref_runner({0, 7});
-  const search::SearchOutcome ref =
-      search::run_search(spec, ref_runner, "", false);
+  std::set<std::string> phases;
+  const search::SearchOutcome ref = search::run_search(
+      spec, ref_runner, "", false,
+      [&](const search::SearchProgress& p) { phases.insert(p.phase); });
   ASSERT_FALSE(ref.interrupted);
+  EXPECT_EQ(phases, (std::set<std::string>{"coord", "es", "validate"}));
 
   // Interrupt after the first observed batch; the journal keeps every
   // completed evaluation.
@@ -557,8 +562,7 @@ TEST(SlaWatchdogEnvelope, ExcursionTripsManagerFallback) {
 
 TEST(ContentionSearch, ReplayExportsCheckableMetrics) {
   search::SearchSpec spec = tiny_search_spec();
-  spec.optimizer = "coord";
-  spec.budget_evals = 2;
+  spec.budget_evals = 2;  // spent by the coordinate phase alone
   spec.validate_seeds = 1;
   exec::ScenarioRunner runner({0, 21});
   const search::SearchOutcome out =

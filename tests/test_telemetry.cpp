@@ -15,7 +15,6 @@
 #include "qos/regulator.hpp"
 #include "qos/regulator_watchdog.hpp"
 #include "sim/histogram.hpp"
-#include "sim/logger.hpp"
 #include "sim/stats.hpp"
 #include "soc/soc.hpp"
 #include "telemetry/hub.hpp"
@@ -396,19 +395,6 @@ TEST(WindowedBytes, FlushClosesTrailingWindows) {
   wb.flush(6000);
   EXPECT_EQ(wb.samples().size(), 6u);
   EXPECT_EQ(wb.max_window_bytes(), 500u);
-}
-
-// --- Log macros -------------------------------------------------------------
-
-TEST(Logger, ErrorAndTraceMacros) {
-  const sim::LogLevel before = sim::Logger::level();
-  sim::Logger::set_level(sim::LogLevel::kTrace);
-  FGQOS_LOG_ERROR("telemetry test error %d", 1);
-  FGQOS_LOG_TRACE("telemetry test trace %s", "msg");
-  sim::Logger::set_level(sim::LogLevel::kError);
-  FGQOS_LOG_TRACE("suppressed %d", 2);  // level branch: not emitted
-  sim::Logger::set_level(before);
-  SUCCEED();
 }
 
 // --- Histogram empty/merge semantics ---------------------------------------

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <set>
+#include <string>
 
 #include "soc/soc.hpp"
 #include "util/config_error.hpp"
@@ -104,6 +105,18 @@ TEST(TrafficGen, CopyPatternMixesReadsAndWrites) {
   const double ratio = static_cast<double>(st.read_bytes.value()) /
                        static_cast<double>(st.write_bytes.value());
   EXPECT_NEAR(ratio, 1.0, 0.2);
+}
+
+TEST(TrafficGen, PatternNamesRoundTrip) {
+  std::set<std::string> names;
+  for (auto i = static_cast<std::uint8_t>(Pattern::kSeqRead);
+       i <= static_cast<std::uint8_t>(Pattern::kStrided); ++i) {
+    const auto p = static_cast<Pattern>(i);
+    EXPECT_EQ(pattern_from_name(pattern_name(p)), p) << pattern_name(p);
+    names.insert(pattern_name(p));
+  }
+  EXPECT_EQ(names.size(), 6u);  // one distinct name per pattern
+  EXPECT_THROW((void)pattern_from_name("zigzag"), ConfigError);
 }
 
 TEST(TrafficGen, RejectsBadConfig) {

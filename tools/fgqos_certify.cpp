@@ -69,7 +69,6 @@ void usage() {
       "                        deterministic function of (spec, seed)\n"
       "  --jobs N              parallel evaluations (0 = all hardware\n"
       "                        threads; result is identical for any N)\n"
-      "  --optimizer O         coord | es | both (default both)\n"
       "  --objective O         slowdown | p99 | slo_miss (default slowdown)\n"
       "  --budget-evals N      max unique attack configs (default 64; each\n"
       "                        costs an unregulated + a regulated sim)\n"
@@ -210,7 +209,6 @@ int main(int argc, char** argv) {
       throw ConfigError("--out is required (or use --replay)");
     }
     search::SearchSpec spec;
-    spec.optimizer = args.get("optimizer", "both");
     spec.objective =
         search::objective_from_name(args.get("objective", "slowdown"));
     spec.seed = args.get_count("seed", 1);
@@ -258,9 +256,8 @@ int main(int argc, char** argv) {
     std::signal(SIGINT, on_signal);
     std::signal(SIGTERM, on_signal);
 
-    std::printf("contention search: optimizer=%s objective=%s seed=%llu "
+    std::printf("contention search: objective=%s seed=%llu "
                 "budget=%zu evals\n",
-                spec.optimizer.c_str(),
                 search::objective_name(spec.objective),
                 static_cast<unsigned long long>(spec.seed),
                 spec.budget_evals);

@@ -12,7 +12,7 @@
 ///   bench     — two BENCH_micro.json kernel-throughput records
 ///               (--bench + --bench-baseline): events/sec drop gate.
 ///   profile   — two host-profile artifacts (--profile-a + --profile-b,
-///               JSON or folded): per-tag cycle-share regression gate.
+///               profile.json): per-tag cycle-share regression gate.
 ///   envelope  — bounds-vs-measured certification gate (--envelope +
 ///               --measured f1.json,f2.json,...): every measured run is
 ///               checked against the certified per-master worst-case
@@ -35,6 +35,7 @@
 #include "telemetry/report.hpp"
 #include "util/cli.hpp"
 #include "util/config_error.hpp"
+#include "util/json.hpp"
 
 using namespace fgqos;
 
@@ -56,8 +57,8 @@ void usage() {
       "  --bench-baseline FILE    committed baseline record\n"
       "  --max-drop-pct N         tolerated events/sec drop (default 10)\n"
       "profile mode:\n"
-      "  --profile-a FILE         baseline host profile (JSON or folded)\n"
-      "  --profile-b FILE         fresh host profile (JSON or folded)\n"
+      "  --profile-a FILE         baseline host profile (profile.json)\n"
+      "  --profile-b FILE         fresh host profile (profile.json)\n"
       "  --max-share-regress-pp N tolerated per-tag cycle-share growth in\n"
       "                           percentage points (default 2)\n"
       "  --force                  compare across tag-table versions\n"
@@ -69,16 +70,6 @@ void usage() {
       "  --json               emit the report as JSON instead of text\n"
       "  --out FILE           write the report there instead of stdout\n"
       "\nexit codes: 0 pass, 1 error, 2 regression\n");
-}
-
-std::string slurp(const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is.good()) {
-    throw ConfigError("cannot read '" + path + "'");
-  }
-  std::ostringstream ss;
-  ss << is.rdbuf();
-  return ss.str();
 }
 
 /// Loads run bundle \p dir: metrics.json, then whichever of the optional
@@ -183,7 +174,9 @@ int main(int argc, char** argv) {
         throw ConfigError("unknown option --" + k + " (see --help)");
       }
       const telemetry::BenchComparison c = telemetry::compare_bench(
-          slurp(bench_baseline), slurp(bench), max_drop);
+          util::read_file(bench_baseline,
+                          "cannot read '" + bench_baseline + "'"),
+          util::read_file(bench, "cannot read '" + bench + "'"), max_drop);
       std::ostringstream ss;
       if (as_json) {
         c.write_json(ss);

@@ -91,24 +91,13 @@ void usage() {
       "  --timeseries-window-us W  sampling window (default 100)\n"
       "  --journal           QoS decision journal (journal.jsonl)\n"
       "  --profile           host-side hot-path profiler: per-component\n"
-      "                      CPU attribution + kernel micro-telemetry\n"
-      "                      (profile.json, profile.folded)\n"
+      "                      CPU attribution (profile.json, profile.folded)\n"
       "  --watchdog-fallback-mbps B\n"
       "                      degraded-mode watchdog on each regulated port:\n"
       "                      fall back to B MB/s when the monitor feed goes\n"
       "                      stale or saturates (requires --scheme hw)\n"
       "\nThe observer flags need --out. SIGINT/SIGTERM stop the simulation\n"
       "early; the bundle is still written from the partial run.\n");
-}
-
-wl::Pattern pattern_from(const std::string& s) {
-  if (s == "seq_rd") return wl::Pattern::kSeqRead;
-  if (s == "seq_wr") return wl::Pattern::kSeqWrite;
-  if (s == "copy") return wl::Pattern::kCopy;
-  if (s == "rnd_rd") return wl::Pattern::kRandomRead;
-  if (s == "rnd_wr") return wl::Pattern::kRandomWrite;
-  if (s == "strided") return wl::Pattern::kStrided;
-  throw ConfigError("unknown pattern '" + s + "'");
 }
 
 }  // namespace
@@ -159,7 +148,7 @@ int main(int argc, char** argv) {
 
     scenario::Spec spec = t.spec(soc::preset_by_name(preset));
     spec.aggressors = scenario::standard_aggressors(
-        t.aggressors, pattern_from(pattern_name), t.seed,
+        t.aggressors, wl::pattern_from_name(pattern_name), t.seed,
         static_cast<axi::Addr>(aggressor_stride_mb * (1 << 20)),
         static_cast<std::uint64_t>(t.aggressor_footprint_mb * (1 << 20)),
         thrash_aggressors);
@@ -269,7 +258,7 @@ int main(int argc, char** argv) {
       std::printf("\nrun bundle written to %s\n", t.out.c_str());
     }
     if (obs.profile) {
-      const telemetry::ProfileSnapshot prof = s.profile();
+      const telemetry::ProfileSnapshot prof = chip.profiler()->snapshot();
       std::printf("\nhost profile: %llu events, %llu ticks, coverage %.1f%%\n",
                   static_cast<unsigned long long>(prof.events_dispatched),
                   static_cast<unsigned long long>(prof.ticks_dispatched),

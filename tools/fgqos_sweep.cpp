@@ -124,7 +124,7 @@ Outcome run_point(const Point& point, std::uint64_t seed,
   o.admission_rejections = static_cast<std::size_t>(
       std::count(s.admitted.begin(), s.admitted.end(), false));
   if (point.observers.profile) {
-    o.profile = s.profile();
+    o.profile = chip.profiler()->snapshot();
     o.has_profile = true;
   }
   if (telemetry::TimeSeriesRecorder* ts = chip.timeseries()) {
