@@ -63,8 +63,8 @@ bool MasterPort::can_issue(Dir dir) const {
   return out_writes_ < cfg_.max_outstanding_writes;
 }
 
-bool MasterPort::issue(Dir dir, Addr addr, std::uint32_t bytes,
-                       std::uint64_t user) {
+bool MasterPort::issue(PortClient& client, Dir dir, Addr addr,
+                       std::uint32_t bytes, std::uint64_t user) {
   FGQOS_ASSERT(bytes > 0, "MasterPort::issue: empty transaction");
   if (!can_issue(dir)) {
     stats_.issue_rejected.add();
@@ -78,6 +78,7 @@ bool MasterPort::issue(Dir dir, Addr addr, std::uint32_t bytes,
   txn->addr = addr;
   txn->bytes = bytes;
   txn->qos = cfg_.qos;
+  txn->issuer = &client;
   txn->user = user;
   txn->created = now;
   // Line split: [addr, addr+bytes) cut on line_bytes boundaries.
@@ -236,16 +237,13 @@ void MasterPort::complete_txn(Transaction& txn, sim::TimePs now) {
       attr_->note_residual(d);
     }
   }
-  // Deliver to the client last: it may immediately issue a new transaction
-  // into the slot just released.
-  const CompletionFn& fn = on_complete_;
-  // Copy the transaction out before recycling so the callback sees stable
-  // data (the pool may hand the slot to a transaction issued from fn).
+  // Deliver to the issuer last: it may immediately issue a new transaction
+  // into the slot just released. Copy the transaction out before recycling
+  // so the issuer sees stable data (the pool may hand the slot to a
+  // transaction issued from on_complete).
   const Transaction snapshot = txn;
   owner_.txn_pool().destroy(&txn);
-  if (fn) {
-    fn(snapshot);
-  }
+  snapshot.issuer->on_complete(snapshot);
 }
 
 void MasterPort::inject_stall(sim::TimePs duration) {

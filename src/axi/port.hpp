@@ -57,6 +57,17 @@ class TxnGate {
   std::vector<MasterPort*> ports_;
 };
 
+/// Issuer of transactions on a MasterPort. Each completion goes to the
+/// client that issued the transaction, so clients may share a port.
+class PortClient {
+ public:
+  virtual ~PortClient() = default;
+  /// \p txn completed. Called after the port's stats and observers saw
+  /// it, with its outstanding slot already released, so the client may
+  /// issue again from here.
+  virtual void on_complete(const Transaction& txn) = 0;
+};
+
 /// Passive observer of port activity (monitors, tracers).
 class TxnObserver {
  public:
@@ -116,12 +127,12 @@ class MasterPort {
   /// True when a new transaction can be issued right now.
   [[nodiscard]] bool can_issue(Dir dir) const;
 
-  /// Issues a burst. Returns false (and counts a rejection) when the
-  /// request queue or the outstanding limit is full. \p bytes must be > 0.
-  bool issue(Dir dir, Addr addr, std::uint32_t bytes, std::uint64_t user = 0);
-
-  /// Sets the callback invoked when any transaction of this port completes.
-  void set_completion_handler(CompletionFn fn) { on_complete_ = std::move(fn); }
+  /// Issues a burst on behalf of \p client, which receives its
+  /// completion (with \p user in Transaction::user). Returns false (and
+  /// counts a rejection) when the request queue or the outstanding limit
+  /// is full. \p bytes must be > 0.
+  bool issue(PortClient& client, Dir dir, Addr addr, std::uint32_t bytes,
+             std::uint64_t user = 0);
 
   /// Attaches a gate (evaluated in attachment order; all must allow) and
   /// subscribes this port to its reopen signal.
@@ -199,7 +210,6 @@ class MasterPort {
   TimedFifo<Transaction*> queue_;
   std::vector<TxnGate*> gates_;
   std::vector<TxnObserver*> observers_;
-  CompletionFn on_complete_;
   std::size_t out_reads_ = 0;
   std::size_t out_writes_ = 0;
   std::uint32_t head_offset_ = 0;    ///< bytes of head txn already granted

@@ -3,12 +3,13 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "axi/types.hpp"
 #include "sim/time.hpp"
 
 namespace fgqos::axi {
+
+class PortClient;
 
 /// AXI response code carried back to the issuing master. Ordered by
 /// severity so the worst per-line response wins for the whole burst.
@@ -28,6 +29,7 @@ struct Transaction {
   Addr addr = 0;
   std::uint32_t bytes = 0;        ///< total payload of the burst
   QosValue qos = kQosBestEffort;
+  PortClient* issuer = nullptr;   ///< receives the completion
   std::uint64_t user = 0;         ///< opaque tag for the issuing client
   Resp resp = Resp::kOkay;        ///< worst per-line response of the burst
 
@@ -57,9 +59,6 @@ struct Transaction {
   /// End-to-end latency; valid once completed.
   [[nodiscard]] sim::TimePs latency() const { return completed - created; }
 };
-
-/// Completion callback type delivered to the issuing client.
-using CompletionFn = std::function<void(const Transaction&)>;
 
 /// Line-granular request as seen by the memory controller.
 struct LineRequest {

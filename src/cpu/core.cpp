@@ -186,8 +186,6 @@ CpuCluster::CpuCluster(sim::Simulator& sim, const sim::ClockDomain& clk,
       mshr_(cfg_.mshr_entries) {
   config_check(cfg_.writeback_queue > 0,
                "CpuCluster: writeback_queue must be > 0");
-  port_->set_completion_handler(
-      [this](const axi::Transaction& txn) { on_port_completion(txn); });
 }
 
 CpuCore& CpuCluster::add_core(CoreConfig cfg, std::unique_ptr<Kernel> kernel) {
@@ -232,7 +230,7 @@ CpuCluster::L2Result CpuCluster::l2_access(axi::Addr line_addr,
     FGQOS_ASSERT(ok, "writeback queue overflow after reservation");
   }
   mshr_.allocate(line_addr);
-  const bool issued = port_->issue(axi::Dir::kRead, line_addr,
+  const bool issued = port_->issue(*this, axi::Dir::kRead, line_addr,
                                    cfg_.l2.line_bytes, /*user=*/line_addr);
   FGQOS_ASSERT(issued, "port rejected read after can_issue check");
   if (cfg_.prefetch_degree > 0) {
@@ -262,7 +260,7 @@ void CpuCluster::issue_prefetches(axi::Addr demand_line) {
     }
     mshr_.allocate(line);
     const bool ok =
-        port_->issue(axi::Dir::kRead, line, cfg_.l2.line_bytes, line);
+        port_->issue(*this, axi::Dir::kRead, line, cfg_.l2.line_bytes, line);
     FGQOS_ASSERT(ok, "port rejected prefetch after can_issue check");
     ++prefetches_issued_;
   }
@@ -298,13 +296,13 @@ bool CpuCluster::tick(sim::Cycles /*cycle*/) {
     const axi::Addr line = writeback_q_.front();
     writeback_q_.pop_front();
     const bool issued =
-        port_->issue(axi::Dir::kWrite, line, cfg_.l2.line_bytes);
+        port_->issue(*this, axi::Dir::kWrite, line, cfg_.l2.line_bytes);
     FGQOS_ASSERT(issued, "port rejected write after can_issue check");
   }
   return !writeback_q_.empty();
 }
 
-void CpuCluster::on_port_completion(const axi::Transaction& txn) {
+void CpuCluster::on_complete(const axi::Transaction& txn) {
   if (txn.dir == axi::Dir::kWrite) {
     return;  // writeback retired; nothing waits on it
   }

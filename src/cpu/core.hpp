@@ -116,7 +116,7 @@ struct ClusterConfig {
 
 /// The cluster: shared L2, shared MSHRs, one AXI master port, a writeback
 /// pump, and any number of cores.
-class CpuCluster final : public sim::Clocked {
+class CpuCluster final : public sim::Clocked, axi::PortClient {
  public:
   /// \param port the cluster's AXI master port (created by the caller on
   ///        the interconnect; must outlive the cluster).
@@ -165,7 +165,7 @@ class CpuCluster final : public sim::Clocked {
   bool tick(sim::Cycles cycle) override;
 
  private:
-  void on_port_completion(const axi::Transaction& txn);
+  void on_complete(const axi::Transaction& txn) override;
   void issue_prefetches(axi::Addr demand_line);
 
   std::uint64_t prefetches_issued_ = 0;

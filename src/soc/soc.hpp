@@ -87,9 +87,10 @@ class Soc {
   wl::TrafficGen& add_traffic_gen(std::size_t accel_index,
                                   wl::TrafficGenConfig cfg);
 
-  /// Adds one request-serving tenant on HP port \p spec.port. The tenant
-  /// takes over the port's completion handler, so each serving port is
-  /// exclusive: one tenant per port, and no TrafficGen on it (checked).
+  /// Adds one request-serving tenant on HP port \p spec.port. The
+  /// tenant's port.* metrics, protected-port monitor and SLA watchdog
+  /// watch that port, so each serving port is exclusive: one tenant per
+  /// port, and no TrafficGen on it (checked).
   /// \p seed is the tenant's op-buffer seed (see serving_tenant_seed).
   wl::ServingTenant& add_serving_tenant(wl::ServingTenantSpec spec,
                                         sim::TimePs duration_ps,

@@ -485,25 +485,26 @@ ServingTenant::ServingTenant(sim::Simulator& sim,
   config_check(duration_ps > 0, "ServingTenant: duration must be > 0");
   spec_.base = resolved_base(spec_);
   ops_ = generate_ops(spec_, duration_ps, seed);
-  port_->set_completion_handler([this](const axi::Transaction& txn) {
-    --in_flight_;
-    const ServingOp& op = ops_[static_cast<std::size_t>(txn.user)];
-    const sim::TimePs lat = txn.completed - op.arrival_ps;
-    latency_.record(lat);
-    ++stats_.completed;
-    stats_.completed_bytes += txn.bytes;
-    if (txn.resp != axi::Resp::kOkay) {
-      // A degraded response still resolves the request (the server would
-      // answer with an error); it is counted, and its latency recorded,
-      // like any completion.
-      ++stats_.error_completions;
-    }
-    if (lat <= spec_.slo_ps) {
-      ++stats_.slo_met;
-    }
-    stats_.last_completion_at = txn.completed;
-    wake();
-  });
+}
+
+void ServingTenant::on_complete(const axi::Transaction& txn) {
+  --in_flight_;
+  const ServingOp& op = ops_[static_cast<std::size_t>(txn.user)];
+  const sim::TimePs lat = txn.completed - op.arrival_ps;
+  latency_.record(lat);
+  ++stats_.completed;
+  stats_.completed_bytes += txn.bytes;
+  if (txn.resp != axi::Resp::kOkay) {
+    // A degraded response still resolves the request (the server would
+    // answer with an error); it is counted, and its latency recorded,
+    // like any completion.
+    ++stats_.error_completions;
+  }
+  if (lat <= spec_.slo_ps) {
+    ++stats_.slo_met;
+  }
+  stats_.last_completion_at = txn.completed;
+  wake();
 }
 
 bool ServingTenant::drained() const {
@@ -569,7 +570,7 @@ bool ServingTenant::tick(sim::Cycles /*cycle*/) {
   while (!queue_.empty() && in_flight_ < spec_.max_outstanding) {
     const std::size_t idx = queue_.front();
     const ServingOp& op = ops_[idx];
-    if (!port_->issue(op.dir, op.addr, op.bytes,
+    if (!port_->issue(*this, op.dir, op.addr, op.bytes,
                       static_cast<std::uint64_t>(idx))) {
       return true;  // port queue full; retry next cycle
     }

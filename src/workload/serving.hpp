@@ -185,10 +185,11 @@ struct ServingTenantStats {
 /// grows the pending queue (and eventually drops) instead of slowing the
 /// offered load — the failure mode that separates open- from closed-loop
 /// load generators.
-class ServingTenant final : public sim::Clocked {
+class ServingTenant final : public sim::Clocked, axi::PortClient {
  public:
-  /// \param port must outlive the tenant; its completion handler is taken
-  ///        over, so a port serves at most one tenant (and no TrafficGen).
+  /// \param port must outlive the tenant. The platform gives each tenant
+  ///        a port of its own: the tenant's port.* metrics, protected-port
+  ///        monitor and SLA watchdog all watch that port.
   ServingTenant(sim::Simulator& sim, const sim::ClockDomain& clk,
                 ServingTenantSpec spec, sim::TimePs duration_ps,
                 std::uint64_t seed, axi::MasterPort& port);
@@ -222,6 +223,8 @@ class ServingTenant final : public sim::Clocked {
   bool tick(sim::Cycles cycle) override;
 
  private:
+  void on_complete(const axi::Transaction& txn) override;
+
   ServingTenantSpec spec_;
   axi::MasterPort* port_;
   std::vector<ServingOp> ops_;

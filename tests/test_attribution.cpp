@@ -24,6 +24,7 @@
 #include "exec/scenario_runner.hpp"
 #include "fault/fault_plan.hpp"
 #include "axi/interconnect.hpp"
+#include "fn_client.hpp"
 #include "forced_poll.hpp"
 #include "qos/sla_watchdog.hpp"
 #include "scenario/scenario.hpp"
@@ -617,10 +618,9 @@ TEST(AttributionOracle, ContestedHeadTurnsSelfWithoutAGrant) {
     eng.register_master(1, "b");
     xbar.set_attribution(&eng);
     const auto poller = poll ? testing::force_poll(xbar, &eng) : nullptr;
-    a.set_completion_handler([](const axi::Transaction&) {});
-    b.set_completion_handler([](const axi::Transaction&) {});
-    a.issue(axi::Dir::kRead, 0x0, 64);
-    b.issue(axi::Dir::kRead, 0x1000, 64);
+    testing::FnClient client;
+    a.issue(client, axi::Dir::kRead, 0x0, 64);
+    b.issue(client, axi::Dir::kRead, 0x1000, 64);
     if (stall) {
       sim.schedule_at(25'000, [&b] { b.inject_stall(5'000); });
     } else {
@@ -661,10 +661,9 @@ TEST(Attribution, RewiredCrossbarLeavesNoSettlerBehind) {
   }
   xbar.set_attribution(&first);
   xbar.set_attribution(&second);
-  a.set_completion_handler([](const axi::Transaction&) {});
-  b.set_completion_handler([](const axi::Transaction&) {});
-  a.issue(axi::Dir::kRead, 0x0, 64);
-  b.issue(axi::Dir::kRead, 0x1000, 64);
+  testing::FnClient client;
+  a.issue(client, axi::Dir::kRead, 0x0, 64);
+  b.issue(client, axi::Dir::kRead, 0x1000, 64);
   sim.run_for(30'000);  // b's head waits on the line a holds in the slave
   const std::vector<std::uint64_t> before = testing::blame_totals(second);
   first.settle();

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "axi/interconnect.hpp"
+#include "fn_client.hpp"
 #include "qos/bandwidth_monitor.hpp"
 #include "qos/cmri.hpp"
 #include "qos/prem_arbiter.hpp"
@@ -712,14 +713,14 @@ struct GatedXbar {
   DelaySlave slave{sim, xbar};
   Regulator reg{sim, reg_config()};
   GrantTimes grants;
+  testing::FnClient client;
 
   GatedXbar() {
     xbar.set_slave(slave);
     port.add_gate(reg);
     port.add_observer(grants);
-    port.set_completion_handler([](const axi::Transaction&) {});
     for (axi::Addr a = 0; a < 4 * 64; a += 64) {
-      port.issue(axi::Dir::kRead, a, 64);
+      port.issue(client, axi::Dir::kRead, a, 64);
     }
   }
 };

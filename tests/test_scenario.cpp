@@ -149,6 +149,52 @@ TEST(Scenario, SwGatesASharedPortOnce) {
   EXPECT_LT(bps, 1.25 * 400e6);
 }
 
+TEST(Scenario, GeneratorsSharingAPortEachGetTheirOwnCompletions) {
+  // Eight generators on four HP ports: aggressor i sits on port i mod 4,
+  // so every port carries two. Each completion goes to the generator that
+  // issued it: every one completes bytes, and none ever holds more than
+  // its window in flight.
+  scenario::Spec spec;
+  spec.aggressors =
+      scenario::standard_aggressors(8, wl::Pattern::kSeqRead, 100);
+  scenario::Scenario s = scenario::build(spec, {}, 1);
+  ASSERT_EQ(s.aggressors.size(), 8u);
+  EXPECT_EQ(&s.aggressors[0]->port(), &s.aggressors[4]->port());
+  for (int step = 0; step < 50; ++step) {
+    s.chip->run_for(10 * sim::kPsPerUs);
+    for (const wl::TrafficGen* g : s.aggressors) {
+      const wl::TrafficGenStats& st = g->stats();
+      const std::uint64_t window =
+          g->config().max_outstanding * g->config().burst_bytes;
+      ASSERT_LE(st.completed_bytes, st.issued_bytes) << g->config().name;
+      ASSERT_LE(st.issued_bytes - st.completed_bytes, window)
+          << g->config().name;
+    }
+  }
+  for (const wl::TrafficGen* g : s.aggressors) {
+    EXPECT_GT(g->stats().completed_bytes, 0u) << g->config().name;
+  }
+}
+
+TEST(Scenario, BulkWritersAndReadersSharingPortsAllComplete) {
+  // The serving layout: the tenant on HP3 and bulk_masters(3) around it,
+  // a streaming writer and a random reader on each of HP0-HP2.
+  const wl::ServingSpec serving =
+      scenario::kv_serving(100e3, 200 * sim::kPsPerUs);
+  scenario::Spec spec;
+  spec.serving = &serving;
+  spec.aggressors = scenario::bulk_masters(3);
+  scenario::Scenario s = scenario::build(spec, {}, 1);
+  ASSERT_EQ(s.aggressors.size(), 6u);
+  s.chip->run_for(200 * sim::kPsPerUs);
+  std::size_t writers = 0;
+  for (const wl::TrafficGen* g : s.aggressors) {
+    writers += g->config().pattern == wl::Pattern::kSeqWrite ? 1u : 0u;
+    EXPECT_GT(g->stats().completed_bytes, 0u) << g->config().name;
+  }
+  EXPECT_EQ(writers, 3u);
+}
+
 TEST(Scenario, PremStrictBlocksEveryHpPort) {
   scenario::Scenario s =
       scenario::build(two_aggressors(Scheme::kPremStrict), {}, 1);
