@@ -398,25 +398,24 @@ def plot_bank(args, plt):
 
 
 def load_profile(path):
-    """Reads a host-profile artifact (a bundle's profile.json, or the
-    'profile' section spliced into BENCH_micro.json, or a folded-stack
-    file); returns (tags, total_cycles) with tags = {name: cycles}."""
+    """Reads a host-profile artifact: a bundle's profile.json, or
+    BENCH_micro.json with its spliced 'profile' section. Like
+    fgqos_report --profile-a/-b, accepts only a JSON object with a
+    'profile' section; returns (tags, total_cycles) with
+    tags = {name: cycles}."""
+    expected = "a profile.json (an object with a \"profile\" section)"
     with open(path) as f:
         text = f.read()
-    if text.lstrip().startswith("{"):
+    try:
         doc = json.loads(text)
-        prof = doc.get("profile", doc)
-        tags = {t["name"]: int(t["cycles"]) for t in prof["tags"]}
-        total = int(prof.get("total_cycles", 0)) or sum(tags.values())
-        return tags, total
-    tags = {}
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        frames, _, cycles = line.rpartition(" ")
-        tags[frames.split(";")[-1]] = (
-            tags.get(frames.split(";")[-1], 0) + int(cycles))
-    return tags, sum(tags.values())
+    except json.JSONDecodeError as e:
+        sys.exit(f"error: '{path}' is not {expected} ({e})")
+    prof = doc.get("profile") if isinstance(doc, dict) else None
+    if not isinstance(prof, dict) or not isinstance(prof.get("tags"), list):
+        sys.exit(f"error: '{path}' is not {expected}")
+    tags = {t["name"]: int(t["cycles"]) for t in prof["tags"]}
+    total = int(prof.get("total_cycles", 0)) or sum(tags.values())
+    return tags, total
 
 
 def plot_profile(args, plt):

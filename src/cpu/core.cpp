@@ -24,8 +24,9 @@ void CpuCore::set_kernel(std::unique_ptr<Kernel> kernel) {
   config_check(kernel != nullptr, "CpuCore: kernel required");
   kernel_ = std::move(kernel);
   state_ = State::kNeedStep;
-  tasks_.clear();
+  next_task_ = task_end_ = 0;
   compute_left_ = 0;
+  resume_at_ = 0;
   finished_ = false;
   iteration_open_ = false;
   wake();
@@ -51,7 +52,7 @@ void CpuCore::begin_step(const KernelStep& step) {
   }
   compute_left_ = step.compute_cycles;
   step_ends_iteration_ = step.end_of_iteration;
-  tasks_.clear();
+  next_task_ = task_end_ = 0;
   if (step.op.has_value()) {
     const MemOp& op = *step.op;
     if (op.is_write) {
@@ -66,12 +67,11 @@ void CpuCore::begin_step(const KernelStep& step) {
       compute_left_ += cfg_.l1_hit_cycles;
     } else {
       if (l1r.writeback_addr.has_value()) {
-        tasks_.push_back(Task{*l1r.writeback_addr, true, true, false});
+        push_task(Task{*l1r.writeback_addr, true, true, false});
       }
       // Blocking semantics apply to loads; stores retire through the
       // write buffer without stalling the core.
-      tasks_.push_back(Task{line, false, op.is_write,
-                            op.blocking && !op.is_write});
+      push_task(Task{line, false, op.is_write, op.blocking && !op.is_write});
     }
   }
   state_ = State::kTasks;
@@ -93,75 +93,78 @@ void CpuCore::finish_step() {
   state_ = State::kNeedStep;
 }
 
-bool CpuCore::process_task(sim::TimePs /*now*/) {
-  FGQOS_ASSERT(!tasks_.empty(), "process_task: no task");
-  Task& t = tasks_.front();
+bool CpuCore::process_task() {
+  FGQOS_ASSERT(next_task_ < task_end_, "process_task: no task");
+  const Task& t = tasks_[next_task_];
   if (t.is_victim_wb) {
     if (!cluster_.writeback_victim(t.line_addr)) {
       ++stats_.stall_resource_cycles;
       return false;
     }
-    tasks_.pop_front();
+    ++next_task_;
     return true;
   }
   // Demand access task.
-  const auto r = cluster_.l2_access(t.line_addr, t.is_write);
-  switch (r) {
+  switch (cluster_.l2_access(t.line_addr, t.is_write)) {
     case CpuCluster::L2Result::kHit:
       compute_left_ += cfg_.l2_hit_cycles;
-      tasks_.pop_front();
-      return true;
+      break;
     case CpuCluster::L2Result::kMiss:
       if (t.blocking) {
         wait_line_ = t.line_addr;
         cluster_.wait_on(t.line_addr, *this);
         state_ = State::kWaitFill;
       }
-      tasks_.pop_front();
-      return true;
+      break;
     case CpuCluster::L2Result::kStall:
       ++stats_.stall_resource_cycles;
       return false;
   }
-  return false;
+  ++next_task_;
+  return true;
 }
 
 bool CpuCore::tick(sim::Cycles /*cycle*/) {
   const sim::TimePs now = simulator().now();
-  if (state_ == State::kFinished) {
-    return false;
-  }
-  if (compute_left_ > 0) {
-    // Fast-forward the whole compute phase in one wake-up.
-    const sim::TimePs resume = now + compute_left_ * clock().period_ps();
-    compute_left_ = 0;
-    wake_at(resume);
+  if (now < resume_at_) {
+    // Woken inside a compute phase (a spurious wake, or host code such as
+    // restart_measurement()): the phase still runs to its end.
+    wake_at(resume_at_);
     return false;
   }
   switch (state_) {
-    case State::kNeedStep: {
-      const KernelStep step = kernel_->next(rng_);
-      begin_step(step);
+    case State::kNeedStep:
       // Compute phase (if any) runs before the memory op issues.
-      return true;
-    }
-    case State::kTasks: {
-      if (tasks_.empty()) {
+      begin_step(kernel_->next(rng_));
+      break;
+    case State::kTasks:
+      if (next_task_ == task_end_) {
         finish_step();
+        note_busy_tick();
         return state_ != State::kFinished;
       }
-      process_task(now);
+      if (!process_task()) {
+        return true;  // stalled on a resource: retry next cycle
+      }
       if (state_ == State::kWaitFill) {
+        note_busy_tick();
         return false;  // sleep until on_line_filled
       }
-      return true;
-    }
+      break;
     case State::kWaitFill:
-      // Spurious tick while blocked; stay asleep.
-      return false;
     case State::kFinished:
-      return false;
+      return false;  // spurious wake: stay asleep
   }
+  note_busy_tick();
+  if (compute_left_ == 0) {
+    return true;
+  }
+  // The compute phase this tick started takes the next compute_left_
+  // edges; the core acts again on the edge after them. Sleep to it now.
+  resume_at_ = now + (static_cast<sim::TimePs>(compute_left_) + 1) *
+                         clock().period_ps();
+  compute_left_ = 0;
+  wake_at(resume_at_);
   return false;
 }
 
@@ -214,8 +217,7 @@ CpuCluster::L2Result CpuCluster::l2_access(axi::Addr line_addr,
     mshr_.allocate(line_addr);
     return L2Result::kMiss;
   }
-  if (l2_.probe(line_addr)) {
-    l2_.access(line_addr, is_write);
+  if (l2_.access_if_present(line_addr, is_write)) {
     return L2Result::kHit;
   }
   // Miss: reserve resources before mutating any state.
@@ -224,7 +226,7 @@ CpuCluster::L2Result CpuCluster::l2_access(axi::Addr line_addr,
     return L2Result::kStall;
   }
   const mem::CacheAccessResult r = l2_.access(line_addr, is_write);
-  FGQOS_ASSERT(!r.hit, "probe said miss but access hit");
+  FGQOS_ASSERT(!r.hit, "lookup said miss but access hit");
   if (r.writeback_addr.has_value()) {
     const bool ok = enqueue_writeback(*r.writeback_addr);
     FGQOS_ASSERT(ok, "writeback queue overflow after reservation");
@@ -267,9 +269,8 @@ void CpuCluster::issue_prefetches(axi::Addr demand_line) {
 }
 
 bool CpuCluster::writeback_victim(axi::Addr line_addr) {
-  if (l2_.probe(line_addr)) {
-    l2_.access(line_addr, true);  // mark dirty; retires on L2 eviction
-    return true;
+  if (l2_.access_if_present(line_addr, true)) {
+    return true;  // marked dirty; retires on L2 eviction
   }
   return enqueue_writeback(line_addr);
 }
@@ -284,7 +285,7 @@ bool CpuCluster::enqueue_writeback(axi::Addr line_addr) {
 }
 
 void CpuCluster::wait_on(axi::Addr line_addr, CpuCore& core) {
-  waiters_[line_addr].push_back(&core);
+  waiters_.emplace_back(line_addr, &core);
 }
 
 bool CpuCluster::tick(sim::Cycles /*cycle*/) {
@@ -308,17 +309,18 @@ void CpuCluster::on_complete(const axi::Transaction& txn) {
   }
   const axi::Addr line = txn.addr;
   mshr_.complete(line);
-  auto it = waiters_.find(line);
-  if (it == waiters_.end()) {
-    return;
+  // Wake the line's waiters in the order they blocked and drop them,
+  // keeping the others in order. on_line_filled only schedules the core's
+  // next tick, so nothing calls wait_on during the walk.
+  std::size_t kept = 0;
+  for (const auto& [addr, core] : waiters_) {
+    if (addr == line) {
+      core->on_line_filled(line);
+    } else {
+      waiters_[kept++] = {addr, core};
+    }
   }
-  // Move out first: on_line_filled may wake cores that immediately issue
-  // new accesses and call wait_on again.
-  std::vector<CpuCore*> ws = std::move(it->second);
-  waiters_.erase(it);
-  for (CpuCore* c : ws) {
-    c->on_line_filled(line);
-  }
+  waiters_.resize(kept);
 }
 
 }  // namespace fgqos::cpu

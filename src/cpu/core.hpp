@@ -3,11 +3,12 @@
 ///        AXI master port (the application-processor cluster of the SoC).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "axi/interconnect.hpp"
@@ -45,7 +46,12 @@ struct CoreStats {
   sim::TimePs finished_at = sim::kTimeNever;
 };
 
-/// One in-order core executing a Kernel.
+/// One in-order core executing a Kernel. A step's compute phase costs no
+/// ticks: the tick that starts it (a new step, or an L2 hit) stores the
+/// edge the core resumes on and sleeps to it, and a tick woken before
+/// that edge sleeps again. Busy ticks (Clocked::busy_ticks()) are those
+/// that begin a step, run a task or finish a step; the others retry a
+/// task stalled on a resource (CoreStats::stall_resource_cycles).
 class CpuCore final : public sim::Clocked {
  public:
   CpuCore(CpuCluster& cluster, CoreConfig cfg, std::unique_ptr<Kernel> kernel);
@@ -84,7 +90,9 @@ class CpuCore final : public sim::Clocked {
 
   void begin_step(const KernelStep& step);
   void finish_step();
-  bool process_task(sim::TimePs now);
+  /// Runs the next task; false when it stalled on a resource.
+  bool process_task();
+  void push_task(const Task& t) { tasks_[task_end_++] = t; }
 
   CpuCluster& cluster_;
   CoreConfig cfg_;
@@ -94,8 +102,17 @@ class CpuCore final : public sim::Clocked {
   CoreStats stats_;
 
   State state_ = State::kNeedStep;
+  /// Compute cycles the current tick started; the end of tick() turns
+  /// them into resume_at_.
   std::uint32_t compute_left_ = 0;
-  std::deque<Task> tasks_;
+  /// Edge the current compute phase ends on; the core does nothing
+  /// before it.
+  sim::TimePs resume_at_ = 0;
+  /// The step's L2-side tasks, in order: a dirty L1 victim's writeback,
+  /// then the demand access. tasks_[next_task_, task_end_) are pending.
+  std::array<Task, 2> tasks_{};
+  std::uint8_t next_task_ = 0;
+  std::uint8_t task_end_ = 0;
   bool step_ends_iteration_ = false;
   axi::Addr wait_line_ = 0;
   bool finished_ = false;
@@ -174,7 +191,10 @@ class CpuCluster final : public sim::Clocked, axi::PortClient {
   mem::Cache l2_;
   mem::MshrFile mshr_;
   std::deque<axi::Addr> writeback_q_;
-  std::unordered_map<axi::Addr, std::vector<CpuCore*>> waiters_;
+  /// Cores blocked on a line fill, in the order they blocked. A core
+  /// waits on one line at a time, so this holds at most one entry per
+  /// core.
+  std::vector<std::pair<axi::Addr, CpuCore*>> waiters_;
   std::vector<std::unique_ptr<CpuCore>> cores_;
 };
 

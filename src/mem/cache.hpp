@@ -6,6 +6,7 @@
 /// shared L2.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -62,6 +63,10 @@ class Cache {
   /// writes); on a miss allocates the line, evicting LRU if needed.
   CacheAccessResult access(axi::Addr addr, bool is_write);
 
+  /// The hit half of access(): on a hit updates LRU and the dirty bit and
+  /// returns true; on a miss changes nothing (not even the miss count).
+  bool access_if_present(axi::Addr addr, bool is_write);
+
   /// True when the line holding \p addr is present (no LRU update).
   [[nodiscard]] bool probe(axi::Addr addr) const;
 
@@ -69,21 +74,30 @@ class Cache {
   void flush();
 
  private:
-  struct Line {
-    std::uint64_t tag = 0;
-    bool valid = false;
-    bool dirty = false;
-    std::uint64_t lru = 0;  ///< higher = more recently used
-  };
-
-  [[nodiscard]] std::uint64_t set_index(axi::Addr addr) const;
-  [[nodiscard]] std::uint64_t tag_of(axi::Addr addr) const;
-  [[nodiscard]] axi::Addr line_addr(std::uint64_t tag,
-                                    std::uint64_t set) const;
+  /// Index of the first way of \p addr's set in the per-line arrays.
+  [[nodiscard]] std::size_t set_base(axi::Addr addr) const {
+    return static_cast<std::size_t>((addr >> line_shift_) & set_mask_) *
+           cfg_.ways;
+  }
+  /// The stored form of \p addr's tag: tag + 1, so 0 marks an invalid way.
+  [[nodiscard]] std::uint64_t stored_tag(axi::Addr addr) const {
+    return (addr >> tag_shift_) + 1;
+  }
+  /// Way holding stored tag \p tag in the set at \p base, or -1.
+  [[nodiscard]] std::ptrdiff_t find(std::size_t base,
+                                    std::uint64_t tag) const;
+  /// Records a hit on line \p i.
+  void touch(std::size_t i, bool is_write);
 
   CacheConfig cfg_;
-  std::uint64_t sets_;
-  std::vector<Line> lines_;  ///< sets_ * ways, row-major by set
+  std::uint32_t line_shift_;  ///< log2(line_bytes)
+  std::uint32_t tag_shift_;   ///< log2(line_bytes * sets)
+  std::uint64_t set_mask_;    ///< sets - 1
+  // Per line, sets * ways entries, row-major by set: a set's tags are
+  // contiguous so a lookup compares one array.
+  std::vector<std::uint64_t> tags_;  ///< stored_tag(), 0 = invalid
+  std::vector<std::uint64_t> lru_;   ///< higher = more recently used
+  std::vector<std::uint8_t> dirty_;
   std::uint64_t lru_clock_ = 0;
   CacheStats stats_;
 };

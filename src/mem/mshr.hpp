@@ -3,8 +3,9 @@
 ///        same-line merge.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 #include "axi/types.hpp"
 
@@ -12,7 +13,10 @@ namespace fgqos::mem {
 
 /// Bounded set of in-flight miss line addresses. A second miss to a line
 /// already in flight merges into the existing entry (no extra memory
-/// transaction); capacity limits memory-level parallelism.
+/// transaction); capacity limits memory-level parallelism. The entries
+/// are a flat array of at most capacity() lines, searched linearly: an
+/// MSHR file holds a handful of lines, and a lookup runs on every L2
+/// access.
 class MshrFile {
  public:
   explicit MshrFile(std::size_t entries);
@@ -23,7 +27,7 @@ class MshrFile {
 
   /// True when \p line_addr already has an entry (a merge is free).
   [[nodiscard]] bool present(axi::Addr line_addr) const {
-    return entries_.count(line_addr) != 0;
+    return index_of(line_addr) < entries_.size();
   }
 
   /// Allocates an entry (or merges). Returns false when full and the line
@@ -42,8 +46,22 @@ class MshrFile {
   [[nodiscard]] std::uint64_t merges() const { return merges_; }
 
  private:
+  struct Entry {
+    axi::Addr line = 0;
+    std::uint32_t waiters = 0;
+  };
+
+  /// Position of \p line_addr's entry; entries_.size() when absent.
+  [[nodiscard]] std::size_t index_of(axi::Addr line_addr) const {
+    std::size_t i = 0;
+    while (i < entries_.size() && entries_[i].line != line_addr) {
+      ++i;
+    }
+    return i;
+  }
+
   std::size_t capacity_;
-  std::unordered_map<axi::Addr, std::uint32_t> entries_;
+  std::vector<Entry> entries_;  ///< unordered; capacity reserved up front
   std::uint64_t merges_ = 0;
 };
 

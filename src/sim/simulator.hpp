@@ -88,7 +88,7 @@ class Clocked {
   [[nodiscard]] std::uint64_t ticks_fired() const { return ticks_fired_; }
 
   /// Ticks on which the component did useful work: those it reported with
-  /// note_busy_tick() (a DRAM command, a crossbar grant).
+  /// note_busy_tick() (a DRAM command, a crossbar grant, a core step).
   [[nodiscard]] std::uint64_t busy_ticks() const { return busy_ticks_; }
 
  protected:

@@ -680,9 +680,10 @@ telemetry::MetricsRegistry& Soc::collect_metrics() {
   set_counter("sim.events_dispatched", sim_.events_dispatched());
   set_counter("sim.ticks", sim_.tick_count());
   // Awake ticks per clocked component: which components a run keeps
-  // awake, and so where its host time goes. The memory path also reports
-  // how many of them did work (busy_ticks: a crossbar grant, a DRAM
-  // command or refresh).
+  // awake, and so where its host time goes. The memory path and the cores
+  // also report how many of them did work (busy_ticks: a crossbar grant, a
+  // DRAM command or refresh, a core beginning a step, running a task or
+  // finishing a step).
   const auto set_ticks = [&](const std::string& name, const sim::Clocked& c) {
     set_counter("sim.clocked." + name + ".ticks", c.ticks_fired());
   };
@@ -696,7 +697,7 @@ telemetry::MetricsRegistry& Soc::collect_metrics() {
   }
   set_ticks(cluster_->name(), *cluster_);
   for (std::size_t c = 0; c < cluster_->core_count(); ++c) {
-    set_ticks(cluster_->core(c).name(), cluster_->core(c));
+    set_busy(cluster_->core(c).name(), cluster_->core(c));
   }
   for (const auto& tg : traffic_gens_) {
     set_ticks(tg->name(), *tg);

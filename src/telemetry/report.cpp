@@ -21,6 +21,38 @@ void write_number(std::ostream& os, double v) {
   os.write(buf, res.ptr - buf);
 }
 
+/// Parses \p text, read from \p path where \p artifact is expected, as a
+/// JSON object; an error names the file and the artifact.
+util::JsonValue parse_artifact(const std::string& text,
+                               const std::string& path,
+                               const std::string& artifact) {
+  util::JsonValue v;
+  try {
+    v = util::JsonValue::parse(text);
+  } catch (const ConfigError& e) {
+    throw ConfigError("report: '" + path + "' is not " + artifact + " (" +
+                      e.what() + ")");
+  }
+  config_check(v.is_object(), "report: '" + path + "' is not " + artifact +
+                                  " (not a JSON object)");
+  return v;
+}
+
+/// The JSON object at \p path, where \p artifact is expected.
+util::JsonValue load_artifact(const std::string& path,
+                              const std::string& artifact) {
+  return parse_artifact(
+      util::read_file(path, "report: cannot read '" + path + "' (expected " +
+                                artifact + ")"),
+      path, artifact);
+}
+
+constexpr const char* kMetricsJson = "a run's metrics.json";
+constexpr const char* kJournalJsonl = "a run's journal.jsonl";
+constexpr const char* kTimeseriesJson = "a run's timeseries.json";
+constexpr const char* kProfileJson =
+    "a profile.json (an object with a \"profile\" section)";
+
 double number_or(const util::JsonValue& obj, const std::string& key,
                  double def) {
   if (!obj.contains(key)) {
@@ -138,9 +170,7 @@ void RunData::adopt_manifest(const RunManifest& m) {
 }
 
 void RunData::load_metrics_json(const std::string& path) {
-  const util::JsonValue doc = util::JsonValue::parse(
-      util::read_file(path, "report: cannot read '" + path + "'"));
-  config_check(doc.is_object(), "report: '" + path + "' is not a JSON object");
+  const util::JsonValue doc = load_artifact(path, kMetricsJson);
   if (doc.contains("manifest")) {
     adopt_manifest(RunManifest::from_json(doc.at("manifest")));
   }
@@ -217,8 +247,9 @@ void RunData::load_blame_csv(const std::string& path) {
 }
 
 void RunData::load_journal_jsonl(const std::string& path) {
-  std::istringstream is(
-      util::read_file(path, "report: cannot read '" + path + "'"));
+  std::istringstream is(util::read_file(
+      path, "report: cannot read '" + path + "' (expected " +
+                std::string(kJournalJsonl) + ")"));
   std::string line;
   bool saw_any = false;
   while (std::getline(is, line)) {
@@ -226,9 +257,7 @@ void RunData::load_journal_jsonl(const std::string& path) {
       continue;
     }
     saw_any = true;
-    const util::JsonValue v = util::JsonValue::parse(line);
-    config_check(v.is_object(),
-                 "report: '" + path + "' line is not a JSON object");
+    const util::JsonValue v = parse_artifact(line, path, kJournalJsonl);
     if (v.contains("manifest")) {
       adopt_manifest(RunManifest::from_json(v.at("manifest")));
       continue;
@@ -258,9 +287,7 @@ void RunData::load_journal_jsonl(const std::string& path) {
 }
 
 void RunData::load_timeseries_json(const std::string& path) {
-  const util::JsonValue doc = util::JsonValue::parse(
-      util::read_file(path, "report: cannot read '" + path + "'"));
-  config_check(doc.is_object(), "report: '" + path + "' is not a JSON object");
+  const util::JsonValue doc = load_artifact(path, kTimeseriesJson);
   if (doc.contains("manifest")) {
     adopt_manifest(RunManifest::from_json(doc.at("manifest")));
   }
@@ -696,19 +723,18 @@ double ProfileData::share(const std::string& tag) const {
          static_cast<double>(total_cycles);
 }
 
-ProfileData ProfileData::parse(const std::string& text) {
+ProfileData ProfileData::load(const std::string& path) {
   ProfileData d;
-  const util::JsonValue root = util::JsonValue::parse(text);
-  config_check(root.is_object() && root.contains("profile"),
-               "report: profile artifact must be an object with a "
-               "\"profile\" member");
+  const util::JsonValue root = load_artifact(path, kProfileJson);
+  config_check(root.contains("profile"),
+               "report: '" + path + "' is not " + kProfileJson);
   if (root.contains("manifest")) {
     d.manifest = RunManifest::from_json(root.at("manifest"));
     d.has_manifest = true;
   }
   const util::JsonValue& prof = root.at("profile");
   config_check(prof.is_object() && prof.contains("tags"),
-               "report: profile artifact has no tags array");
+               "report: '" + path + "': profile section has no tags array");
   d.tag_table_version =
       static_cast<int>(number_or(prof, "tag_table_version", 0.0));
   d.total_cycles =
@@ -716,16 +742,12 @@ ProfileData ProfileData::parse(const std::string& text) {
   d.coverage = number_or(prof, "coverage", 0.0);
   for (const util::JsonValue& t : prof.at("tags").as_array()) {
     config_check(t.is_object() && t.contains("name"),
-                 "report: malformed profile tag entry");
+                 "report: '" + path + "': malformed profile tag entry");
     d.tags[t.at("name").as_string()] = {
         static_cast<std::uint64_t>(number_or(t, "count", 0.0)),
         static_cast<std::uint64_t>(number_or(t, "cycles", 0.0))};
   }
   return d;
-}
-
-ProfileData ProfileData::load(const std::string& path) {
-  return parse(util::read_file(path, "report: cannot read '" + path + "'"));
 }
 
 ProfileComparison compare_profiles(const ProfileData& a, const ProfileData& b,

@@ -208,9 +208,9 @@ struct ProfileData {
   /// Cycle share of \p tag (0 when the profile is empty).
   [[nodiscard]] double share(const std::string& tag) const;
 
-  /// Throws ConfigError unless \p text is a JSON object with a "profile"
-  /// member carrying a tags array.
-  [[nodiscard]] static ProfileData parse(const std::string& text);
+  /// Reads the profile.json at \p path. Throws ConfigError, naming the
+  /// file, unless it is a JSON object with a "profile" member carrying a
+  /// tags array.
   [[nodiscard]] static ProfileData load(const std::string& path);
 };
 

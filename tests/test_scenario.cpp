@@ -490,6 +490,147 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(p.param.name);
     });
 
+/// simbench's cpu_solo mix: a pointer chase beside a stream whose 512 KiB
+/// footprint fits the 1 MiB L2.
+void add_cpu_solo_cores(soc::Soc& chip) {
+  cpu::CoreConfig cc;
+  cc.name = "chase";
+  chip.add_core(cc, wl::make_pointer_chase({}));
+  wl::StreamConfig sc;
+  sc.footprint_bytes = 512 << 10;
+  sc.lines_per_iteration = sc.footprint_bytes / sc.line_bytes;
+  cc.name = "stream";
+  cc.rng_seed = 2;
+  chip.add_core(cc, wl::make_stream(sc));
+}
+
+/// collect_stats() without sim.*, plus each core's steps as "steps.<core>".
+std::map<std::string, double> model_stats(soc::Soc& chip) {
+  sim::StatsRegistry reg;
+  chip.collect_stats(reg);
+  std::map<std::string, double> out;
+  for (const auto& [name, value] : reg.all()) {
+    if (name.rfind("sim.", 0) != 0) {
+      out.emplace(name, value);
+    }
+  }
+  for (std::size_t c = 0; c < chip.cluster().core_count(); ++c) {
+    const cpu::CpuCore& core = chip.cluster().core(c);
+    out["steps." + core.name()] =
+        static_cast<double>(core.stats().steps_done);
+  }
+  return out;
+}
+
+/// Wakes every core of \p chip on every cycle it could act on.
+std::vector<std::unique_ptr<testing::ForcedPoll>> poll_cores(soc::Soc& chip) {
+  std::vector<std::unique_ptr<testing::ForcedPoll>> pollers;
+  for (std::size_t c = 0; c < chip.cluster().core_count(); ++c) {
+    pollers.push_back(std::make_unique<testing::ForcedPoll>(
+        chip.cluster().core(c), nullptr));
+  }
+  return pollers;
+}
+
+// A core that sleeps through its compute phases must be indistinguishable
+// from one woken every cycle: a wake inside a phase sleeps on to the
+// phase's end instead of cutting it short.
+TEST(CpuCoreSleep, SleepingMatchesForcedPoll) {
+  const auto cpu_solo = [](bool poll) {
+    soc::Soc chip{soc::SocConfig{}};
+    add_cpu_solo_cores(chip);
+    const auto pollers = poll ? poll_cores(chip)
+                              : std::vector<std::unique_ptr<testing::ForcedPoll>>{};
+    chip.run_for(100 * sim::kPsPerUs);
+    return model_stats(chip);
+  };
+  const auto exp1 = [](bool poll) {
+    scenario::Spec spec;
+    cpu::CoreConfig cc;
+    cc.name = "critical";
+    spec.critical =
+        scenario::Critical{cc, [] { return wl::make_pointer_chase({}); }};
+    spec.aggressors =
+        scenario::standard_aggressors(4, wl::Pattern::kSeqRead, 100);
+    scenario::Scenario s = scenario::build(spec, scenario::Observers{}, 1);
+    const auto pollers = poll ? poll_cores(*s.chip)
+                              : std::vector<std::unique_ptr<testing::ForcedPoll>>{};
+    s.chip->run_for(100 * sim::kPsPerUs);
+    s.finish();
+    return model_stats(*s.chip);
+  };
+  const std::map<std::string, double> solo = cpu_solo(false);
+  EXPECT_GT(solo.at("steps.chase"), 0.0);
+  EXPECT_GT(solo.at("steps.stream"), 0.0);
+  EXPECT_EQ(solo, cpu_solo(true));
+  const std::map<std::string, double> mixed = exp1(false);
+  EXPECT_GT(mixed.at("steps.critical"), 0.0);
+  EXPECT_EQ(mixed, exp1(true));
+}
+
+/// Steps forever, each a 1000-cycle compute phase ending an iteration.
+class ComputeOnlyKernel final : public cpu::Kernel {
+ public:
+  cpu::KernelStep next(sim::Xoshiro256& /*rng*/) override {
+    cpu::KernelStep s;
+    s.compute_cycles = 1000;
+    s.end_of_iteration = true;
+    return s;
+  }
+  void reset() override {}
+  [[nodiscard]] const std::string& name() const override { return name_; }
+
+ private:
+  std::string name_ = "compute";
+};
+
+// restart_measurement() wakes the core; inside a compute phase that wake
+// must not end the phase early. A core counting one iteration from the
+// middle of its eleventh step finishes when a core counting eleven from
+// the start does.
+TEST(CpuCoreSleep, RestartInsideComputePhaseKeepsItsLength) {
+  const auto finished_at = [](bool restart) {
+    soc::Soc chip{soc::SocConfig{}};
+    cpu::CoreConfig cc;
+    cc.max_iterations = restart ? 0 : 11;
+    cpu::CpuCore& core =
+        chip.add_core(cc, std::make_unique<ComputeOnlyKernel>());
+    const sim::TimePs period = core.clock().period_ps();
+    // A step begins on one edge, computes for 1000 cycles and finishes on
+    // the edge after them: 1002 cycles a step.
+    chip.run_for((10 * 1002 + 500) * period);
+    EXPECT_EQ(core.stats().steps_done, 10u);
+    if (restart) {
+      core.restart_measurement(1);
+    }
+    chip.run_for(2000 * period);
+    EXPECT_TRUE(core.finished());
+    return core.stats().finished_at;
+  };
+  EXPECT_EQ(finished_at(true), finished_at(false));
+}
+
+// Every tick of a core either does work (begins a step, runs a task,
+// finishes a step) or retries a task stalled on a resource: compute
+// phases and fill waits cost no ticks. collect_stats() publishes the busy
+// ticks.
+TEST(CpuCoreSleep, EveryTickIsBusyOrAStall) {
+  soc::Soc chip{soc::SocConfig{}};
+  add_cpu_solo_cores(chip);
+  chip.run_for(100 * sim::kPsPerUs);
+  sim::StatsRegistry reg;
+  chip.collect_stats(reg);
+  for (std::size_t c = 0; c < chip.cluster().core_count(); ++c) {
+    const cpu::CpuCore& core = chip.cluster().core(c);
+    SCOPED_TRACE(core.name());
+    EXPECT_GT(core.busy_ticks(), 0u);
+    EXPECT_EQ(core.ticks_fired(),
+              core.busy_ticks() + core.stats().stall_resource_cycles);
+    EXPECT_EQ(reg.get("sim.clocked." + core.name() + ".busy_ticks"),
+              static_cast<double>(core.busy_ticks()));
+  }
+}
+
 TEST(ToolArgs, CountsRejectSignsFractionsAndText) {
   EXPECT_EQ(util::parse_count("12", "--jobs"), 12u);
   EXPECT_EQ(util::parse_count("0", "--jobs"), 0u);
